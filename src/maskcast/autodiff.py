@@ -2,7 +2,9 @@
 
 Everything is float64. Each forward op records a backward closure on the
 result tensor; ``backward()`` topologically sorts the recorded graph and
-propagates gradients, then frees the tape. Small and slow by design: the
+propagates gradients, then frees the tape. A kernel output requires grad
+when any of its inputs does; a kernel on constants only records no tape,
+and no gradient is computed for a constant operand. Small by design: the
 models built on top are desk-scale.
 """
 
@@ -74,14 +76,18 @@ def _as_tensor(x):
 
 
 def _accumulate(t, g):
+    if not t.requires_grad:
+        return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
 
 def _record(out, parents, backward):
-    out._parents = tuple(parents)
-    out._backward = backward
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
+        out._backward = backward
     return out
 
 
@@ -113,8 +119,10 @@ def add(a, b):
     out = Tensor(a.data + b.data)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -125,8 +133,10 @@ def sub(a, b):
     out = Tensor(a.data - b.data)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, -_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, -_unbroadcast(g, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -137,8 +147,10 @@ def mul(a, b):
     out = Tensor(a.data * b.data)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -159,8 +171,16 @@ def matmul(a, b):
     out = Tensor(np.matmul(a.data, b.data))
 
     def backward(g):
-        _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.requires_grad:
+            # a 2-D weight's gradient sums over the input's batch dims; one
+            # GEMM over the folded batch replaces a [B, ...] stack and its sum
+            if b.data.ndim == 2 and a.data.ndim > 2:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            _accumulate(b, gb)
 
     return _record(out, (a, b), backward)
 
@@ -320,6 +340,99 @@ def reshape(a, shape):
     return _record(out, (a,), backward)
 
 
+def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
+    """Graph-convolutional GRU over the history axis, as one kernel.
+
+    The DCRNN recurrence (Li et al., ICLR 2018) with one propagation hop.
+    ``x_emb`` is [..., H, N, C], ``adjacency`` [N, N], the gate weights
+    [C + D, D] and biases [D]. From h = 0, each step t computes
+
+        zin = [x_t, h]                   u = sigmoid((A zin) Wu + bu)
+        r = sigmoid((A zin) Wr + br)     c = tanh((A [x_t, r h]) Wc + bc)
+        h = u h + (1 - u) c
+
+    and the final h [..., N, D] is returned. Forward caches each step's
+    activations; backward is one reverse-time loop over them, with the
+    batch and time axes folded into each weight-gradient GEMM.
+    """
+    x, a = x_emb.data, adjacency.data
+    if x.ndim < 3 or a.shape != (x.shape[-2],) * 2:
+        _shape_fail("graph_gru", x_emb.shape, adjacency.shape)
+    steps, cx, d = x.shape[-3], x.shape[-1], wu.shape[-1]
+    for w, b in ((wu, bu), (wr, br), (wc, bc)):
+        if w.shape != (cx + d, d) or b.shape != (d,):
+            _shape_fail("graph_gru", x_emb.shape, w.shape, b.shape)
+    nodes = x.shape[:-3] + x.shape[-2:-1]  # [..., N], the rows of every per-step array
+    grad_adjacency = adjacency.requires_grad  # zin and cin are kept only for dA
+    # per-step activations, stacked on a leading time axis
+    hs = np.empty((steps,) + nodes + (d,))
+    azins = np.empty((steps,) + nodes + (cx + d,))
+    acins = np.empty_like(azins)
+    us, rs, cs = np.empty_like(hs), np.empty_like(hs), np.empty_like(hs)
+    zins, cins = [], []
+    h = np.zeros(nodes + (d,))
+    for t in range(steps):
+        x_t = x[..., t, :, :]
+        hs[t] = h
+        zin = np.concatenate([x_t, h], axis=-1)
+        azin = np.matmul(a, zin, out=azins[t])
+        u = np.divide(1.0, 1.0 + np.exp(-(np.matmul(azin, wu.data) + bu.data)), out=us[t])
+        r = np.divide(1.0, 1.0 + np.exp(-(np.matmul(azin, wr.data) + br.data)), out=rs[t])
+        cin = np.concatenate([x_t, r * h], axis=-1)
+        c = np.tanh(np.matmul(np.matmul(a, cin, out=acins[t]), wc.data) + bc.data, out=cs[t])
+        if grad_adjacency:
+            zins.append(zin)
+            cins.append(cin)
+        h = u * h + (1.0 - u) * c
+    out = Tensor(h)
+
+    def backward(g):
+        a_t = a.T
+        w_ur_t = np.concatenate([wu.data, wr.data], axis=1).T
+        dpre_ur = np.empty(us.shape[:-1] + (2 * d,))
+        dpre_c = np.empty_like(cs)
+        dx = np.empty_like(x) if x_emb.requires_grad else None
+        da = np.zeros_like(a) if grad_adjacency else None
+        batch_axes = list(range(len(nodes) - 1))
+        dh = g
+        for t in reversed(range(steps)):
+            h_prev, u, r, c = hs[t], us[t], rs[t], cs[t]
+            du = dh * h_prev - dh * c
+            dh_prev = dh * u
+            dpre = np.multiply(dh * (1.0 - u), 1.0 - c * c, out=dpre_c[t])
+            # A^T (dpre Wc^T) taken as (A^T dpre) Wc^T: the [N, N] product gets D columns, not C + D
+            dcin = np.matmul(np.matmul(a_t, dpre), wc.data.T)
+            drh = dcin[..., cx:]
+            dh_prev += drh * r
+            np.multiply(du * u, 1.0 - u, out=dpre_ur[t, ..., :d])
+            np.multiply(drh * h_prev * r, 1.0 - r, out=dpre_ur[t, ..., d:])
+            dazin = np.matmul(dpre_ur[t], w_ur_t)
+            dzin = np.matmul(a_t, dazin)
+            if dx is not None:
+                dx[..., t, :, :] = dcin[..., :cx] + dzin[..., :cx]
+            if da is not None:
+                da += np.tensordot(dpre, np.matmul(cins[t], wc.data), axes=(batch_axes + [-1],) * 2)
+                da += np.tensordot(dazin, zins[t], axes=(batch_axes + [-1],) * 2)
+            dh = dh_prev + dzin[..., cx:]
+        if dx is not None:
+            _accumulate(x_emb, dx)
+        if da is not None:
+            _accumulate(adjacency, da)
+        dw_ur = azins.reshape(-1, cx + d).T @ dpre_ur.reshape(-1, 2 * d)
+        db_ur = dpre_ur.reshape(-1, 2 * d).sum(axis=0)
+        for w, b, cols in ((wu, bu, slice(0, d)), (wr, br, slice(d, 2 * d))):
+            if w.requires_grad:
+                _accumulate(w, dw_ur[:, cols])
+            if b.requires_grad:
+                _accumulate(b, db_ur[cols])
+        if wc.requires_grad:
+            _accumulate(wc, acins.reshape(-1, cx + d).T @ dpre_c.reshape(-1, d))
+        if bc.requires_grad:
+            _accumulate(bc, dpre_c.reshape(-1, d).sum(axis=0))
+
+    return _record(out, (x_emb, adjacency, wu, bu, wr, br, wc, bc), backward)
+
+
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------
@@ -342,7 +455,7 @@ def backward(loss):
         node, parents = stack[-1]
         advanced = False
         for p in parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 stack.append((p, iter(p._parents)))
                 advanced = True

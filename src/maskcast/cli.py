@@ -93,8 +93,10 @@ def _write_csv(path, rows):
 
 
 def _write_json(path, payload):
+    # strict JSON: a NaN or inf raises ValueError (exit 2) before the file is opened
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(text)
 
 
 def _write_manifest(out_dir, cfg, artifacts):

@@ -187,6 +187,9 @@ def save_csv(dataset, values_path, edges_path, meta_path):
 def load_csv(values_path, edges_path, meta_path):
     with open(meta_path) as fh:
         meta = json.load(fh)
+    missing = [k for k in ("n_nodes", "n_features", "period_seconds") if k not in meta]
+    if missing:
+        raise ValueError(f"meta file {meta_path}: missing keys {missing}")
     n, c = meta["n_nodes"], meta["n_features"]
 
     rows = []
@@ -206,7 +209,13 @@ def load_csv(values_path, edges_path, meta_path):
             except ValueError:
                 bad = next(i for i, cell in enumerate(row) if not _is_float(cell))
                 raise ValueError(f"values file {values_path}: non-numeric cell at row {r + 1}, column {bad}")
-    values = np.asarray(rows).reshape(len(rows), n, c)
+    values = np.asarray(rows).reshape(len(rows), n * c)
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, col = np.argwhere(~finite)[0]
+        raise ValueError(f"values file {values_path}: non-finite cell {float(values[r, col])} "
+                         f"at row {r + 1}, column {col}")
+    values = values.reshape(len(rows), n, c)
     g = load_edge_list(edges_path, n_nodes=n)
     return Dataset(values=values, period=meta["period_seconds"], graph=g)
 

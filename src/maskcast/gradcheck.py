@@ -43,6 +43,7 @@ def kernel_suite(seed=0):
 
     check("matmul", {"a": (3, 4), "b": (4, 2)}, lambda p: ad.matmul(p["a"], p["b"]))
     check("matmul-batched", {"a": (2, 3, 4), "b": (4, 2)}, lambda p: ad.matmul(p["a"], p["b"]))
+    check("matmul-left-2d", {"a": (3, 4), "b": (2, 4, 2)}, lambda p: ad.matmul(p["a"], p["b"]))
     check("add-broadcast", {"a": (3, 4), "b": (4,)}, lambda p: ad.add(p["a"], p["b"]))
     check("sub", {"a": (3, 4), "b": (3, 4)}, lambda p: ad.sub(p["a"], p["b"]))
     check("mul-broadcast", {"a": (3, 4), "b": (3, 1)}, lambda p: ad.mul(p["a"], p["b"]))
@@ -60,6 +61,9 @@ def kernel_suite(seed=0):
     check("log", {"a": (3, 3)}, lambda p: ad.tlog(p["a"]), low=0.2, high=2.0)
     check("transpose", {"a": (2, 3, 4)}, lambda p: ad.transpose(p["a"], (2, 0, 1)))
     check("reshape", {"a": (3, 4)}, lambda p: ad.reshape(p["a"], (2, 6)))
+    gru = {"x": (2, 3, 3, 2), "adj": (3, 3), "wu": (4, 2), "bu": (2,),
+           "wr": (4, 2), "br": (2,), "wc": (4, 2), "bc": (2,)}
+    check("graph_gru", gru, lambda p: ad.graph_gru(*(p[k] for k in gru)))
     return results
 
 

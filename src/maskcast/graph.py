@@ -175,17 +175,41 @@ def save_edge_list(g, path):
             writer.writerow([u, v, repr(float(w))])
 
 
+def _bad_edge(path, line, what, row):
+    return ValueError(f"edge list {path}: line {line}: {what}: {row}")
+
+
 def load_edge_list(path, n_nodes):
-    edges = []
+    """Read a u,v,weight edge list; a bad edge raises ValueError naming its line."""
+    lo, hi, weights, lines = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header[:3] != ["u", "v", "weight"]:
             raise ValueError(f"edge list {path}: expected header u,v,weight, got {header}")
         for row in reader:
-            u, v, w = int(row[0]), int(row[1]), float(row[2])
-            edges.append((min(u, v), max(u, v), w))
-    return Graph(n_nodes=n_nodes, edges=edges)
+            try:
+                u, v, w = int(row[0]), int(row[1]), float(row[2])
+            except (IndexError, ValueError):
+                raise _bad_edge(path, reader.line_num, "expected integers u, v and a numeric weight", row)
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n_nodes:
+                raise _bad_edge(path, reader.line_num, f"node index outside [0, {n_nodes})", row)
+            lo.append(u)
+            hi.append(v)
+            weights.append(w)
+            lines.append(reader.line_num)
+    lo_a, hi_a, w_a = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), np.array(weights)
+    repeated = np.ones(len(lo), dtype=bool)
+    repeated[np.unique(lo_a * n_nodes + hi_a, return_index=True)[1]] = False
+    for bad, what in ((lo_a == hi_a, "self-loop"),
+                      (repeated, "duplicate undirected edge"),
+                      (~(np.isfinite(w_a) & (w_a > 0)), "weight must be finite and positive")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _bad_edge(path, lines[i], what, (lo[i], hi[i], weights[i]))
+    return Graph(n_nodes=n_nodes, edges=list(zip(lo, hi, weights)))
 
 
 def save_distance_matrix(distances, path):

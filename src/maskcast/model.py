@@ -94,29 +94,16 @@ def embed_input(x, params):
     return ad.add(ad.matmul(x, params["embed.w"]), params["embed.b"])
 
 
-def _graph_conv(z, adjacency, w, b):
-    # adjacency [N, N] broadcasts over any leading batch dims of z.
-    return ad.add(ad.matmul(ad.matmul(adjacency, z), w), b)
-
-
 def encoder_forward(x_emb, adjacency, params):
     """Gated graph-convolutional recurrence over the history axis.
 
     ``adjacency`` must already be row-stochastic (see ``normalize_adjacency``
     / ``adaptive_adjacency``). Returns the final hidden state [..., N, D].
     """
-    h_steps = x_emb.shape[-3]
-    one = Tensor(1.0)
-    h = Tensor(np.zeros(x_emb.shape[:-3] + x_emb.shape[-2:]))
-    for t in range(h_steps):
-        x_t = ad.take(x_emb, -3, t)
-        zin = ad.concat([x_t, h], axis=-1)
-        z = ad.sigmoid(_graph_conv(zin, adjacency, params["encoder.update.w"], params["encoder.update.b"]))
-        r = ad.sigmoid(_graph_conv(zin, adjacency, params["encoder.reset.w"], params["encoder.reset.b"]))
-        cin = ad.concat([x_t, ad.mul(r, h)], axis=-1)
-        c = ad.tanh(_graph_conv(cin, adjacency, params["encoder.cand.w"], params["encoder.cand.b"]))
-        h = ad.add(ad.mul(z, h), ad.mul(ad.sub(one, z), c))
-    return h
+    return ad.graph_gru(x_emb, adjacency,
+                        params["encoder.update.w"], params["encoder.update.b"],
+                        params["encoder.reset.w"], params["encoder.reset.b"],
+                        params["encoder.cand.w"], params["encoder.cand.b"])
 
 
 def spatial_decoder(s, params):

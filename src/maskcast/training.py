@@ -329,6 +329,13 @@ def validation_mae(splits, g, state):
     return report["overall"]["mae"]
 
 
+def _check_finite(value, what, stage, epoch, step=None):
+    """Stop a diverged run before a non-finite value reaches the artifacts."""
+    if not np.isfinite(value):
+        where = f"{stage} epoch {epoch}" + ("" if step is None else f" step {step}")
+        raise ValueError(f"{where}: non-finite {what} {value}")
+
+
 def run_two_stage(cfg, splits, g, log=None, initial_values=None, skip_pretrain=False):
     """Pretrain (unless variant is baseline), fine-tune, evaluate on test.
 
@@ -370,10 +377,11 @@ def run_two_stage(cfg, splits, g, log=None, initial_values=None, skip_pretrain=F
                 snapshot = adaptive_adjacency(state.params["node_embeddings"]).data
                 mask_graph = sparsify_topk(snapshot, min(cfg.topk, g.n_nodes - 1))
             losses, temporal_losses = [], []
-            for idx in _batches(len(xs_train), cfg.batch_size, rngs["batch-order"]):
+            for step, idx in enumerate(_batches(len(xs_train), cfg.batch_size, rngs["batch-order"])):
                 loss, l_a, l_x, plan = pretrain_step(
                     xs_train[idx], g, state, cfg, optimizer, rngs,
                     mask_graph=mask_graph, audit=audit)
+                _check_finite(loss, "loss", "pretrain", epoch, step)
                 losses.append(loss)
                 loss_totals["spatial"] += abs(l_a)
                 loss_totals["temporal"] += abs(l_x)
@@ -392,9 +400,11 @@ def run_two_stage(cfg, splits, g, log=None, initial_values=None, skip_pretrain=F
     for epoch in range(cfg.finetune_epochs):
         optimizer.lr = _stage_lr(cfg, epoch, cfg.finetune_epochs)
         losses = []
-        for idx in _batches(len(xs_train), cfg.batch_size, rngs["batch-order"]):
+        for step, idx in enumerate(_batches(len(xs_train), cfg.batch_size, rngs["batch-order"])):
             losses.append(finetune_step(xs_train[idx], ys_train[idx], g, state, cfg, optimizer))
+            _check_finite(losses[-1], "loss", "finetune", epoch, step)
         val_mae = validation_mae(splits, g, state)
+        _check_finite(val_mae, "validation MAE", "finetune", epoch)
         epoch_loss = float(np.mean(losses))
         curve.append(CurvePoint("finetune", epoch, epoch_loss, val_mae))
         if val_mae < best_val:

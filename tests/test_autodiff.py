@@ -63,6 +63,19 @@ class TestBackward:
         backward(ad.tsum(ad.add(x, x)))
         assert x.grad.tolist() == [2.0]
 
+    def test_constant_operand_gets_no_gradient(self):
+        eye = Tensor(np.eye(3))
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        backward(ad.tsum(ad.matmul(eye, x)))
+        assert eye.grad is None
+        assert x.grad.tolist() == [[1.0, 1.0]] * 3
+
+    def test_constant_inputs_record_no_tape(self):
+        y = ad.matmul(Tensor(np.eye(3)), Tensor(np.ones((3, 2))))
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        assert ad.matmul(Tensor(np.eye(3)), x).requires_grad
+
     def test_tape_freed_after_backward(self):
         x = Tensor([1.0], requires_grad=True)
         y = ad.tsum(ad.mul(x, x))

@@ -1,9 +1,10 @@
 import json
 import os
+import shutil
 
 import pytest
 
-from maskcast.cli import ConfigError, dump_config, load_config, main
+from maskcast.cli import ConfigError, _write_json, dump_config, load_config, main
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +146,65 @@ class TestExitCodes:
     def test_gradcheck_exits_zero(self, capsys):
         assert main(["gradcheck"]) == 0
         assert "overall max relative error" in capsys.readouterr().out
+
+
+class TestBadInput:
+    """Malformed dataset files fail at load time with exit 2 and a located message."""
+
+    def corrupt(self, data_dir, tmp_path, name, edit):
+        out = tmp_path / "bad"
+        shutil.copytree(data_dir, out)
+        path = out / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return str(out)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_cell(self, data_dir, tmp_path, capsys, cell):
+        def edit(lines):
+            row = lines[3].split(",")
+            row[2] = cell
+            return lines[:3] + [",".join(row)] + lines[4:]
+
+        bad = self.corrupt(data_dir, tmp_path, "dataset_values.csv", edit)
+        assert main(["train", "--data", bad, "--out", str(tmp_path / "run")] + FAST) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "row 3, column 2" in err
+
+    def test_missing_meta_key(self, data_dir, tmp_path, capsys):
+        bad = self.corrupt(data_dir, tmp_path, "dataset_meta.json",
+                           lambda lines: [json.dumps({"n_nodes": 6, "period_seconds": 300.0})])
+        assert main(["train", "--data", bad, "--out", str(tmp_path / "run")] + FAST) == 2
+        assert "missing keys ['n_features']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edge, message", [
+        ("0,6,1.0", "outside [0, 6)"),
+        ("-1,2,1.0", "outside [0, 6)"),
+        ("0,99999999999999999999,1.0", "outside [0, 6)"),
+        ("0,2", "expected integers u, v and a numeric weight"),
+        ("3,3,1.0", "self-loop"),
+        ("DUP", "duplicate undirected edge"),
+        ("0,2,nan", "finite and positive"),
+        ("0,2,inf", "finite and positive"),
+        ("0,2,0.0", "finite and positive"),
+        ("0,2,-0.5", "finite and positive"),
+    ])
+    def test_bad_edge(self, data_dir, tmp_path, capsys, edge, message):
+        def edit(lines):
+            if edge == "DUP":
+                u, v, w = lines[1].split(",")
+                return lines + [f"{v},{u},{w}"]  # same undirected edge, reversed
+            return lines + [edge]
+
+        bad = self.corrupt(data_dir, tmp_path, "dataset_edges.csv", edit)
+        n_lines = len((tmp_path / "bad" / "dataset_edges.csv").read_text().splitlines())
+        assert main(["train", "--data", bad, "--out", str(tmp_path / "run")] + FAST) == 2
+        err = capsys.readouterr().err
+        assert message in err and f"line {n_lines}:" in err
+
+
+def test_non_finite_metric_never_written(tmp_path):
+    path = tmp_path / "metrics.json"
+    with pytest.raises(ValueError, match="JSON"):
+        _write_json(path, {"overall": {"mae": float("nan")}})
+    assert not path.exists()

@@ -3,7 +3,7 @@ import pytest
 
 from maskcast import autodiff as ad
 from maskcast.autodiff import Tensor
-from maskcast.graph import Graph
+from maskcast.graph import Graph, adaptive_adjacency, normalize_adjacency
 from maskcast.model import (EncoderConfig, ModelState, embed_input,
                             encoder_forward, forecast, predictor,
                             spatial_decoder, temporal_decoder)
@@ -86,6 +86,83 @@ class TestEncoderForward:
         s = encoder_forward(Tensor(x), adj, state.params).data
         s_perm = encoder_forward(Tensor(x[:, perm]), adj, state.params).data
         np.testing.assert_allclose(s_perm, s[perm], atol=1e-12)
+
+
+def reference_encoder(x_emb, adjacency, params):
+    """The recurrence composed from primitive kernels, one tape node per op."""
+    def graph_conv(z, gate):
+        w, b = params[f"encoder.{gate}.w"], params[f"encoder.{gate}.b"]
+        return ad.add(ad.matmul(ad.matmul(adjacency, z), w), b)
+
+    one = Tensor(1.0)
+    h = Tensor(np.zeros(x_emb.shape[:-3] + x_emb.shape[-2:]))
+    for t in range(x_emb.shape[-3]):
+        x_t = ad.take(x_emb, -3, t)
+        zin = ad.concat([x_t, h], axis=-1)
+        u = ad.sigmoid(graph_conv(zin, "update"))
+        r = ad.sigmoid(graph_conv(zin, "reset"))
+        c = ad.tanh(graph_conv(ad.concat([x_t, ad.mul(r, h)], axis=-1), "cand"))
+        h = ad.add(ad.mul(u, h), ad.mul(ad.sub(one, u), c))
+    return h
+
+
+class TestGraphGRUKernel:
+    """The fused kernel against the primitive-composed reference."""
+
+    def run(self, encoder, state, x, adjacency_of, weight):
+        x_emb = Tensor(x, requires_grad=True)
+        state.params.zero_grad()
+        adjacency = adjacency_of(state)
+        out = encoder(x_emb, adjacency, state.params)
+        ad.backward(ad.tsum(ad.mul(out, Tensor(weight))))
+        grads = {p: t.grad.copy() for p, t in state.params.items()}
+        grads["x_emb"] = x_emb.grad
+        return out.data, grads, adjacency
+
+    def compare(self, lead, adjacency_of, graph_mode="predefined"):
+        n, d, hist = 5, 3, 4
+        state = make_state(n_nodes=n, hidden_dim=d, history=hist, seed=11,
+                           graph_mode=graph_mode, node_embed_dim=2)
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=lead + (hist, n, d))
+        weight = rng.uniform(0.5, 1.5, size=lead + (n, d))
+        want, want_grads, _ = self.run(reference_encoder, state, x, adjacency_of, weight)
+        got, got_grads, adjacency = self.run(encoder_forward, state, x, adjacency_of, weight)
+        np.testing.assert_array_equal(got, want)
+        for name, g in want_grads.items():
+            np.testing.assert_allclose(got_grads[name], g, rtol=1e-12,
+                                       atol=1e-12 * np.abs(g).max(), err_msg=name)
+        return got_grads, adjacency
+
+    @staticmethod
+    def constant(state):
+        return Tensor(normalize_adjacency(random_graph(5, 6, seed=3)))
+
+    @staticmethod
+    def learned(state):
+        mask = Tensor(np.ones((5, 5)) - np.eye(5)[::-1])
+        return ad.mul(adaptive_adjacency(state.params["node_embeddings"]), mask)
+
+    def test_batched_constant_adjacency(self):
+        _, adjacency = self.compare((3,), self.constant)
+        assert not adjacency.requires_grad and adjacency.grad is None
+
+    def test_unbatched_constant_adjacency(self):
+        _, adjacency = self.compare((), self.constant)
+        assert adjacency.grad is None
+
+    def test_batched_learned_adjacency(self):
+        grads, _ = self.compare((3,), self.learned, graph_mode="adaptive")
+        assert np.abs(grads["node_embeddings"]).max() > 0
+
+    def test_unbatched_learned_adjacency(self):
+        grads, _ = self.compare((), self.learned, graph_mode="adaptive")
+        assert np.abs(grads["node_embeddings"]).max() > 0
+
+    def test_shape_mismatch_names_kernel(self):
+        state = make_state(n_nodes=4, hidden_dim=3)
+        with pytest.raises(ad.ShapeError, match="graph_gru"):
+            encoder_forward(Tensor(np.zeros((4, 4, 3))), Tensor(np.eye(5)), state.params)
 
 
 class TestSpatialDecoder:

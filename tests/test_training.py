@@ -321,6 +321,33 @@ class TestRunTwoStage:
         assert np.isfinite(result.report["overall"]["mae"])
 
 
+class TestDivergenceGuard:
+    """A non-finite loss or validation MAE stops the run and names where."""
+
+    @staticmethod
+    def splits_with_nan(row):
+        ds = synthesize(6, 240, seed=1)
+        ds.values[row, 2, 0] = np.nan
+        return prepare_splits(ds, 12, 12), ds.graph
+
+    def test_nan_training_value_stops_pretraining(self):
+        splits, g = self.splits_with_nan(10)
+        with pytest.raises(ValueError, match=r"pretrain epoch 0 step 0: non-finite loss nan"):
+            run_two_stage(small_cfg(), splits, g)
+
+    def test_nan_training_value_stops_finetuning(self):
+        splits, g = self.splits_with_nan(10)
+        with pytest.raises(ValueError, match=r"finetune epoch 0 step 0: non-finite loss nan"):
+            run_two_stage(small_cfg(variant="baseline"), splits, g)
+
+    def test_nan_validation_value_stops_finetuning(self):
+        # row 190 lies in validation and test windows only, after the
+        # rows the normalization statistics come from
+        splits, g = self.splits_with_nan(190)
+        with pytest.raises(ValueError, match=r"finetune epoch 0: non-finite validation MAE nan"):
+            run_two_stage(small_cfg(), splits, g)
+
+
 class TestGridSearch:
     def test_single_cell_returned(self, tiny):
         splits, g = tiny
