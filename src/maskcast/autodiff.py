@@ -347,13 +347,24 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
     ``x_emb`` is [..., H, N, C], ``adjacency`` [N, N], the gate weights
     [C + D, D] and biases [D]. From h = 0, each step t computes
 
-        zin = [x_t, h]                   u = sigmoid((A zin) Wu + bu)
-        r = sigmoid((A zin) Wr + br)     c = tanh((A [x_t, r h]) Wc + bc)
+        u, r = sigmoid([A x_t, A h] [Wu|Wr] + [bu|br])
+        c = tanh([A x_t, A (r h)] Wc + bc)
         h = u h + (1 - u) c
 
-    and the final h [..., N, D] is returned. Forward caches each step's
-    activations; backward is one reverse-time loop over them, with the
-    batch and time axes folded into each weight-gradient GEMM.
+    and the final h [..., N, D] is returned. A x is taken for all H steps
+    in one product before the loop, so each step multiplies A only by h and
+    by r h: 2D columns per step, not 2(C + D). Both gate inputs reuse one
+    buffer whose x-half holds A x_t, and each gate GEMM contracts over all
+    C + D rows at once; this keeps the output bitwise equal to multiplying
+    A by the concatenated [x_t, h] (a split into two K-halves would not).
+    The update and reset gates are one GEMM on [Wu|Wr], built per call, so
+    checkpoints keep the three separate gate weights.
+
+    Backward is one reverse-time loop that applies A^T only to the h-side
+    gradients, D columns each. After it, the x-side gradient A^T (dpre W_x^T)
+    and the weight gradients, from the cached A x, A h and A (r h), are one
+    GEMM each. A learned adjacency adds one [N, N] product per A product
+    and step.
     """
     x, a = x_emb.data, adjacency.data
     if x.ndim < 3 or a.shape != (x.shape[-2],) * 2:
@@ -363,72 +374,76 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
         if w.shape != (cx + d, d) or b.shape != (d,):
             _shape_fail("graph_gru", x_emb.shape, w.shape, b.shape)
     nodes = x.shape[:-3] + x.shape[-2:-1]  # [..., N], the rows of every per-step array
-    grad_adjacency = adjacency.requires_grad  # zin and cin are kept only for dA
+    w_ur = np.concatenate([wu.data, wr.data], axis=1)
+    b_ur = np.concatenate([bu.data, br.data])
     # per-step activations, stacked on a leading time axis
+    x_steps = np.moveaxis(x, -3, 0)
+    ax = np.matmul(a, x_steps)
     hs = np.empty((steps,) + nodes + (d,))
-    azins = np.empty((steps,) + nodes + (cx + d,))
-    acins = np.empty_like(azins)
-    us, rs, cs = np.empty_like(hs), np.empty_like(hs), np.empty_like(hs)
-    zins, cins = [], []
+    ahs, arhs, us, rs, cs = (np.empty_like(hs) for _ in range(5))
+    conv = np.empty(nodes + (cx + d,))  # [A x_t, A h], then [A x_t, A (r h)]
     h = np.zeros(nodes + (d,))
     for t in range(steps):
-        x_t = x[..., t, :, :]
         hs[t] = h
-        zin = np.concatenate([x_t, h], axis=-1)
-        azin = np.matmul(a, zin, out=azins[t])
-        u = np.divide(1.0, 1.0 + np.exp(-(np.matmul(azin, wu.data) + bu.data)), out=us[t])
-        r = np.divide(1.0, 1.0 + np.exp(-(np.matmul(azin, wr.data) + br.data)), out=rs[t])
-        cin = np.concatenate([x_t, r * h], axis=-1)
-        c = np.tanh(np.matmul(np.matmul(a, cin, out=acins[t]), wc.data) + bc.data, out=cs[t])
-        if grad_adjacency:
-            zins.append(zin)
-            cins.append(cin)
+        conv[..., :cx] = ax[t]
+        conv[..., cx:] = np.matmul(a, h, out=ahs[t])
+        e = np.matmul(conv, w_ur)
+        e += b_ur
+        np.exp(np.negative(e, out=e), out=e)
+        e += 1.0
+        u = np.divide(1.0, e[..., :d], out=us[t])
+        r = np.divide(1.0, e[..., d:], out=rs[t])
+        conv[..., cx:] = np.matmul(a, r * h, out=arhs[t])
+        c = np.tanh(np.matmul(conv, wc.data) + bc.data, out=cs[t])
         h = u * h + (1.0 - u) * c
     out = Tensor(h)
 
     def backward(g):
         a_t = a.T
-        w_ur_t = np.concatenate([wu.data, wr.data], axis=1).T
-        dpre_ur = np.empty(us.shape[:-1] + (2 * d,))
-        dpre_c = np.empty_like(cs)
-        dx = np.empty_like(x) if x_emb.requires_grad else None
-        da = np.zeros_like(a) if grad_adjacency else None
-        batch_axes = list(range(len(nodes) - 1))
+        w_ur_h = w_ur[cx:].T  # [2D, D]
+        wc_h = wc.data[cx:].T
+        # pre-activation gradients [update | reset | candidate], per step
+        dpre = np.empty((steps,) + nodes + (3 * d,))
+        da = np.zeros_like(a) if adjacency.requires_grad else None
+        # dA sums (dL/d(A v)) v^T over the batch and channel axes of each A product
+        axes = (list(range(len(nodes) - 1)) + [-1],) * 2
         dh = g
         for t in reversed(range(steps)):
             h_prev, u, r, c = hs[t], us[t], rs[t], cs[t]
-            du = dh * h_prev - dh * c
             dh_prev = dh * u
-            dpre = np.multiply(dh * (1.0 - u), 1.0 - c * c, out=dpre_c[t])
-            # A^T (dpre Wc^T) taken as (A^T dpre) Wc^T: the [N, N] product gets D columns, not C + D
-            dcin = np.matmul(np.matmul(a_t, dpre), wc.data.T)
-            drh = dcin[..., cx:]
-            dh_prev += drh * r
-            np.multiply(du * u, 1.0 - u, out=dpre_ur[t, ..., :d])
-            np.multiply(drh * h_prev * r, 1.0 - r, out=dpre_ur[t, ..., d:])
-            dazin = np.matmul(dpre_ur[t], w_ur_t)
-            dzin = np.matmul(a_t, dazin)
-            if dx is not None:
-                dx[..., t, :, :] = dcin[..., :cx] + dzin[..., :cx]
+            dpre_c = np.multiply(dh - dh_prev, 1.0 - c * c, out=dpre[t, ..., 2 * d:])
+            darh = np.matmul(dpre_c, wc_h)
+            drh_r = np.matmul(a_t, darh)
+            drh_r *= r
+            dh_prev += drh_r
+            np.multiply(drh_r * h_prev, 1.0 - r, out=dpre[t, ..., d:2 * d])
+            np.multiply((h_prev - c) * dh * u, 1.0 - u, out=dpre[t, ..., :d])
+            dah = np.matmul(dpre[t, ..., :2 * d], w_ur_h)
+            dh_prev += np.matmul(a_t, dah)
+            dh = dh_prev
             if da is not None:
-                da += np.tensordot(dpre, np.matmul(cins[t], wc.data), axes=(batch_axes + [-1],) * 2)
-                da += np.tensordot(dazin, zins[t], axes=(batch_axes + [-1],) * 2)
-            dh = dh_prev + dzin[..., cx:]
-        if dx is not None:
-            _accumulate(x_emb, dx)
-        if da is not None:
-            _accumulate(adjacency, da)
-        dw_ur = azins.reshape(-1, cx + d).T @ dpre_ur.reshape(-1, 2 * d)
-        db_ur = dpre_ur.reshape(-1, 2 * d).sum(axis=0)
-        for w, b, cols in ((wu, bu, slice(0, d)), (wr, br, slice(d, 2 * d))):
+                da += np.tensordot(darh, r * h_prev, axes=axes)
+                da += np.tensordot(dah, h_prev, axes=axes)
+        flat = dpre.reshape(-1, 3 * d)
+        if x_emb.requires_grad or da is not None:
+            dax = np.matmul(flat, np.concatenate([w_ur[:cx], wc.data[:cx]], axis=1).T).reshape(ax.shape)
+            if x_emb.requires_grad:
+                _accumulate(x_emb, np.moveaxis(np.matmul(a_t, dax), 0, -3))
+            if da is not None:
+                for t in range(steps):
+                    da += np.tensordot(dax[t], x_steps[t], axes=axes)
+                _accumulate(adjacency, da)
+        dw = np.empty((cx + d, 3 * d))
+        np.matmul(ax.reshape(-1, cx).T, flat, out=dw[:cx])
+        np.matmul(ahs.reshape(-1, d).T, flat[:, :2 * d], out=dw[cx:, :2 * d])
+        np.matmul(arhs.reshape(-1, d).T, flat[:, 2 * d:], out=dw[cx:, 2 * d:])
+        db = np.ones(len(flat)) @ flat  # a GEMV: numpy's column sum walks row by row
+        for i, (w, b) in enumerate(((wu, bu), (wr, br), (wc, bc))):
+            cols = slice(i * d, (i + 1) * d)
             if w.requires_grad:
-                _accumulate(w, dw_ur[:, cols])
+                _accumulate(w, dw[:, cols])
             if b.requires_grad:
-                _accumulate(b, db_ur[cols])
-        if wc.requires_grad:
-            _accumulate(wc, acins.reshape(-1, cx + d).T @ dpre_c.reshape(-1, d))
-        if bc.requires_grad:
-            _accumulate(bc, dpre_c.reshape(-1, d).sum(axis=0))
+                _accumulate(b, db[cols])
 
     return _record(out, (x_emb, adjacency, wu, bu, wr, br, wc, bc), backward)
 
@@ -514,6 +529,9 @@ class ParameterTree:
         return {p: t.data.copy() for p, t in self._entries.items()}
 
     def load_values(self, values):
+        unknown = sorted(set(values) - set(self._entries))
+        if unknown:
+            raise ValueError(f"checkpoint has unknown parameters {unknown}")
         for path, t in self._entries.items():
             if path not in values:
                 raise ValueError(f"checkpoint missing parameter {path!r}")

@@ -121,10 +121,6 @@ def zscore_fit_apply(dataset, train_fraction=0.6):
     return normalized, (mean, std)
 
 
-def denormalize(values, mean, std):
-    return values * std + mean
-
-
 def make_windows(dataset_or_values, history, horizon):
     """All stride-1 (history, horizon) window pairs."""
     values = dataset_or_values.values if isinstance(dataset_or_values, Dataset) else dataset_or_values

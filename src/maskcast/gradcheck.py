@@ -64,6 +64,10 @@ def kernel_suite(seed=0):
     gru = {"x": (2, 3, 3, 2), "adj": (3, 3), "wu": (4, 2), "bu": (2,),
            "wr": (4, 2), "br": (2,), "wc": (4, 2), "bc": (2,)}
     check("graph_gru", gru, lambda p: ad.graph_gru(*(p[k] for k in gru)))
+    # input width C = 3 against hidden width D = 2; last, so the entries above keep their draws
+    wide = {"x": (2, 3, 3, 3), "adj": (3, 3), "wu": (5, 2), "bu": (2,),
+            "wr": (5, 2), "br": (2,), "wc": (5, 2), "bc": (2,)}
+    check("graph_gru-wide", wide, lambda p: ad.graph_gru(*(p[k] for k in wide)))
     return results
 
 

@@ -49,7 +49,6 @@ class WalkConfig:
     p: float = 1.0
     q: float = 1.0
     walk_length: int = 8
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.p <= 0 or self.q <= 0:
@@ -211,10 +210,3 @@ def load_edge_list(path, n_nodes):
             raise _bad_edge(path, lines[i], what, (lo[i], hi[i], weights[i]))
     return Graph(n_nodes=n_nodes, edges=list(zip(lo, hi, weights)))
 
-
-def save_distance_matrix(distances, path):
-    np.savetxt(path, np.asarray(distances), delimiter=",", fmt="%r")
-
-
-def load_distance_matrix(path):
-    return np.loadtxt(path, delimiter=",", ndmin=2)

@@ -7,7 +7,7 @@ inputs [B, H, N, C] and single windows [H, N, C] are both accepted.
 """
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -26,14 +26,6 @@ class EncoderConfig:
     graph_mode: str = "predefined"  # predefined | adaptive
     node_embed_dim: int = 8
     topk: int = 8
-
-    def validate(self, patch_length=None):
-        if self.graph_mode not in ("predefined", "adaptive"):
-            raise ValueError(f"unknown graph_mode {self.graph_mode!r}")
-        if patch_length is not None and self.history % patch_length != 0:
-            raise ValueError(
-                f"history {self.history} must be divisible by patch length {patch_length}"
-            )
 
 
 class ModelState:
@@ -83,7 +75,11 @@ class ModelState:
     @classmethod
     def load(cls, checkpoint_path, manifest_path):
         with open(manifest_path) as fh:
-            config = EncoderConfig(**json.load(fh))
+            values = json.load(fh)
+        unknown = sorted(set(values) - {f.name for f in fields(EncoderConfig)})
+        if unknown:
+            raise ValueError(f"model manifest {manifest_path}: unknown keys {unknown}")
+        config = EncoderConfig(**values)
         state = cls.initialize(config, np.random.default_rng(0))
         state.params.load_values(ad.load_checkpoint(checkpoint_path))
         return state

@@ -15,7 +15,7 @@ from .data import stack_windows
 from .graph import (adaptive_adjacency, normalize_dense, sparsify_topk,
                     WalkConfig)
 from .masking import (apply_spatial_mask, apply_temporal_mask,
-                      edge_mask_matrix, sample_spatial_mask,
+                      edge_mask_matrix,
                       sample_temporal_mask, sample_uniform_spatial_mask,
                       sample_uniform_temporal_mask, temporal_mask_entries)
 from .model import (EncoderConfig, ModelState, embed_input, encoder_forward,
@@ -89,8 +89,7 @@ class RunConfig:
         )
 
     def walk_config(self):
-        return WalkConfig(p=self.walk_p, q=self.walk_q, walk_length=self.walk_length,
-                          rng_seed=self.seed)
+        return WalkConfig(p=self.walk_p, q=self.walk_q, walk_length=self.walk_length)
 
     def to_dict(self):
         return asdict(self)

@@ -216,3 +216,16 @@ class TestCheckpoint:
         other.add("extra", np.zeros(2))
         with pytest.raises(ValueError, match="extra"):
             other.load_values(load_checkpoint(path))
+
+    def test_unknown_parameter_rejected(self, tmp_path):
+        params = ParameterTree()
+        params.add("w", np.zeros(2))
+        params.add("stale", np.zeros(2))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+
+        other = ParameterTree()
+        other.add("w", np.ones(2))
+        with pytest.raises(ValueError, match="unknown parameters \\['stale'\\]"):
+            other.load_values(load_checkpoint(path))
+        assert (other["w"].data == 1.0).all()

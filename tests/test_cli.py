@@ -203,6 +203,36 @@ class TestBadInput:
         assert message in err and f"line {n_lines}:" in err
 
 
+class TestCheckpointChecks:
+    """A model manifest or checkpoint that names what the model lacks fails with exit 2."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, data_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("trained")
+        assert main(["train", "--data", data_dir, "--out", str(out)] + FAST) == 0
+        return out
+
+    def evaluate(self, data_dir, tmp_path, checkpoint, manifest):
+        return main(["evaluate", "--data", data_dir, "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(checkpoint), "--model-manifest", str(manifest)] + FAST)
+
+    def test_unknown_manifest_key(self, data_dir, trained, tmp_path, capsys):
+        manifest = json.loads((trained / "model.json").read_text())
+        manifest["hidden_units"] = 4
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(manifest))
+        assert self.evaluate(data_dir, tmp_path, trained / "checkpoint.json", bad) == 2
+        assert "unknown keys ['hidden_units']" in capsys.readouterr().err
+
+    def test_unknown_checkpoint_parameter(self, data_dir, trained, tmp_path, capsys):
+        checkpoint = json.loads((trained / "checkpoint.json").read_text())
+        checkpoint["encoder.extra.w"] = {"shape": [2], "values": [0.0, 1.0]}
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(checkpoint))
+        assert self.evaluate(data_dir, tmp_path, bad, trained / "model.json") == 2
+        assert "unknown parameters ['encoder.extra.w']" in capsys.readouterr().err
+
+
 def test_non_finite_metric_never_written(tmp_path):
     path = tmp_path / "metrics.json"
     with pytest.raises(ValueError, match="JSON"):

@@ -95,7 +95,8 @@ def reference_encoder(x_emb, adjacency, params):
         return ad.add(ad.matmul(ad.matmul(adjacency, z), w), b)
 
     one = Tensor(1.0)
-    h = Tensor(np.zeros(x_emb.shape[:-3] + x_emb.shape[-2:]))
+    hidden = params["encoder.update.b"].shape[0]
+    h = Tensor(np.zeros(x_emb.shape[:-3] + x_emb.shape[-2:-1] + (hidden,)))
     for t in range(x_emb.shape[-3]):
         x_t = ad.take(x_emb, -3, t)
         zin = ad.concat([x_t, h], axis=-1)
@@ -109,15 +110,24 @@ def reference_encoder(x_emb, adjacency, params):
 class TestGraphGRUKernel:
     """The fused kernel against the primitive-composed reference."""
 
-    def run(self, encoder, state, x, adjacency_of, weight):
+    def run(self, encoder, params, x, adjacency_of, weight):
         x_emb = Tensor(x, requires_grad=True)
-        state.params.zero_grad()
-        adjacency = adjacency_of(state)
-        out = encoder(x_emb, adjacency, state.params)
+        params.zero_grad()
+        adjacency = adjacency_of(params)
+        out = encoder(x_emb, adjacency, params)
         ad.backward(ad.tsum(ad.mul(out, Tensor(weight))))
-        grads = {p: t.grad.copy() for p, t in state.params.items()}
+        grads = {p: t.grad.copy() for p, t in params.items()}
         grads["x_emb"] = x_emb.grad
         return out.data, grads, adjacency
+
+    def check(self, params, x, adjacency_of, weight):
+        want, want_grads, _ = self.run(reference_encoder, params, x, adjacency_of, weight)
+        got, got_grads, adjacency = self.run(encoder_forward, params, x, adjacency_of, weight)
+        np.testing.assert_array_equal(got, want)
+        for name, g in want_grads.items():
+            np.testing.assert_allclose(got_grads[name], g, rtol=1e-12,
+                                       atol=1e-12 * np.abs(g).max(), err_msg=name)
+        return got_grads, adjacency
 
     def compare(self, lead, adjacency_of, graph_mode="predefined"):
         n, d, hist = 5, 3, 4
@@ -126,22 +136,16 @@ class TestGraphGRUKernel:
         rng = np.random.default_rng(12)
         x = rng.normal(size=lead + (hist, n, d))
         weight = rng.uniform(0.5, 1.5, size=lead + (n, d))
-        want, want_grads, _ = self.run(reference_encoder, state, x, adjacency_of, weight)
-        got, got_grads, adjacency = self.run(encoder_forward, state, x, adjacency_of, weight)
-        np.testing.assert_array_equal(got, want)
-        for name, g in want_grads.items():
-            np.testing.assert_allclose(got_grads[name], g, rtol=1e-12,
-                                       atol=1e-12 * np.abs(g).max(), err_msg=name)
-        return got_grads, adjacency
+        return self.check(state.params, x, adjacency_of, weight)
 
     @staticmethod
-    def constant(state):
+    def constant(params):
         return Tensor(normalize_adjacency(random_graph(5, 6, seed=3)))
 
     @staticmethod
-    def learned(state):
+    def learned(params):
         mask = Tensor(np.ones((5, 5)) - np.eye(5)[::-1])
-        return ad.mul(adaptive_adjacency(state.params["node_embeddings"]), mask)
+        return ad.mul(adaptive_adjacency(params["node_embeddings"]), mask)
 
     def test_batched_constant_adjacency(self):
         _, adjacency = self.compare((3,), self.constant)
@@ -158,6 +162,23 @@ class TestGraphGRUKernel:
     def test_unbatched_learned_adjacency(self):
         grads, _ = self.compare((), self.learned, graph_mode="adaptive")
         assert np.abs(grads["node_embeddings"]).max() > 0
+
+    @pytest.mark.parametrize("adjacency_of", ["constant", "learned"])
+    def test_input_width_differs_from_hidden(self, adjacency_of):
+        # C = 2 input channels and D = 3 hidden units: an x-side slice taken
+        # for an h-side one, in any gate input or gradient, cannot go unseen
+        c, d, n, hist = 2, 3, 5, 4
+        rng = np.random.default_rng(13)
+        params = ad.ParameterTree()
+        for gate in ("update", "reset", "cand"):
+            params.add(f"encoder.{gate}.w", rng.uniform(-0.6, 0.6, size=(c + d, d)))
+            params.add(f"encoder.{gate}.b", rng.uniform(-0.6, 0.6, size=d))
+        params.add("node_embeddings", rng.normal(size=(n, 2)))
+        x = rng.normal(size=(2, 3, hist, n, c))
+        weight = rng.uniform(0.5, 1.5, size=(2, 3, n, d))
+        grads, _ = self.check(params, x, getattr(self, adjacency_of), weight)
+        assert grads["x_emb"].shape == x.shape
+        assert (np.abs(grads["node_embeddings"]).max() > 0) == (adjacency_of == "learned")
 
     def test_shape_mismatch_names_kernel(self):
         state = make_state(n_nodes=4, hidden_dim=3)
