@@ -54,26 +54,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; constants are wrapped on the fly.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _accumulate(t, g):
     if not t.requires_grad:
@@ -543,9 +523,6 @@ class ParameterTree:
                 )
             t.data = arr.copy()
 
-    def save(self, path):
-        save_checkpoint(self, path)
-
 
 def save_checkpoint(params, path):
     """Write a textual checkpoint: path -> shape -> float64 values.
@@ -564,10 +541,16 @@ def load_checkpoint(path):
     """Read a checkpoint into a dict of arrays, keyed by parameter path."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path}: expected an object of parameters")
     out = {}
     for p, entry in payload.items():
-        arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        out[p] = arr
+        if not isinstance(entry, dict):
+            raise ValueError(f"checkpoint {path}: parameter {p!r} is not an object")
+        missing = sorted({"shape", "values"} - set(entry))
+        if missing:
+            raise ValueError(f"checkpoint {path}: parameter {p!r} missing keys {missing}")
+        out[p] = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
     return out
 
 

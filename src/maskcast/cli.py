@@ -16,15 +16,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import autodiff as ad
 from . import data as data_mod
-from .evaluation import (ablation_csv_rows, heatmap_csv_rows, metrics,
-                         per_step_table, run_ablation, sensitivity_sweep)
+from .evaluation import (ablation_csv_rows, heatmap_csv_rows, per_step_table,
+                         run_ablation, sensitivity_sweep)
 from .model import ModelState
-from .training import (RunConfig, curve_to_csv_rows, predict_windows,
-                       run_two_stage)
+from .seeding import stream
+from .training import (RunConfig, curve_to_csv_rows, finetune, init_state,
+                       pretrain, run_two_stage, test_report)
 
 
 class ConfigError(ValueError):
@@ -76,10 +75,6 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
-def dump_config(cfg):
-    return cfg.to_dict()
-
-
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -101,7 +96,7 @@ def _write_json(path, payload):
 
 def _write_manifest(out_dir, cfg, artifacts):
     manifest = {
-        "config": dump_config(cfg),
+        "config": cfg.to_dict(),
         "seed": cfg.seed,
         "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts},
     }
@@ -131,21 +126,29 @@ def cmd_generate(args, cfg):
     return 0
 
 
+def _write_run(out_dir, cfg, state=None, curve=None, report=None):
+    """Write whichever of model, curve and test report a command has, then the manifest."""
+    artifacts = []
+
+    def path(name):
+        artifacts.append(os.path.join(out_dir, name))
+        return artifacts[-1]
+
+    if state is not None:
+        state.save(path("checkpoint.json"), path("model.json"))
+    if curve is not None:
+        _write_csv(path("curves.csv"), curve_to_csv_rows(curve))
+    if report is not None:
+        _write_json(path("metrics.json"), report)
+        _write_csv(path("per_step.csv"), per_step_table(report))
+    _write_manifest(out_dir, cfg, artifacts)
+
+
 def cmd_train(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
     result = run_two_stage(cfg, splits, dataset.graph, log=print if args.verbose else None)
-
-    ckpt = os.path.join(args.out, "checkpoint.json")
-    manifest_path = os.path.join(args.out, "model.json")
-    result.state.save(ckpt, manifest_path)
-    curve_path = os.path.join(args.out, "curves.csv")
-    _write_csv(curve_path, curve_to_csv_rows(result.curve))
-    report_path = os.path.join(args.out, "metrics.json")
-    _write_json(report_path, result.report)
-    steps_path = os.path.join(args.out, "per_step.csv")
-    _write_csv(steps_path, per_step_table(result.report))
-    _write_manifest(args.out, cfg, [ckpt, manifest_path, curve_path, report_path, steps_path])
+    _write_run(args.out, cfg, result.state, result.curve, result.report)
     print(f"test MAE {result.report['overall']['mae']:.6f} "
           f"(best val MAE {result.best_val_mae:.6f})")
     return 0
@@ -153,36 +156,27 @@ def cmd_train(args, cfg):
 
 def cmd_pretrain(args, cfg):
     os.makedirs(args.out, exist_ok=True)
+    # the manifest records that nothing was fine-tuned
     cfg = dataclasses.replace(cfg, finetune_epochs=0)
     dataset, splits = _load_dataset(args.data, cfg)
-    result = run_two_stage(cfg, splits, dataset.graph, log=print if args.verbose else None)
-    ckpt = os.path.join(args.out, "checkpoint.json")
-    manifest_path = os.path.join(args.out, "model.json")
-    result.state.save(ckpt, manifest_path)
-    curve_path = os.path.join(args.out, "curves.csv")
-    _write_csv(curve_path, curve_to_csv_rows(result.curve))
-    _write_manifest(args.out, cfg, [ckpt, manifest_path, curve_path])
-    last = [p for p in result.curve if p.stage == "pretrain"]
-    if last:
-        print(f"final pretrain loss {last[-1].train_loss:.6f}")
+    state = init_state(cfg, dataset.graph)
+    curve = pretrain(cfg, splits, dataset.graph, state, log=print if args.verbose else None).curve
+    _write_run(args.out, cfg, state, curve)
+    if curve:
+        print(f"final pretrain loss {curve[-1].train_loss:.6f}")
     return 0
 
 
 def cmd_finetune(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
-    initial = ad.load_checkpoint(args.checkpoint)
-    result = run_two_stage(cfg, splits, dataset.graph, initial_values=initial,
-                           skip_pretrain=True, log=print if args.verbose else None)
-    ckpt = os.path.join(args.out, "checkpoint.json")
-    manifest_path = os.path.join(args.out, "model.json")
-    result.state.save(ckpt, manifest_path)
-    curve_path = os.path.join(args.out, "curves.csv")
-    _write_csv(curve_path, curve_to_csv_rows(result.curve))
-    report_path = os.path.join(args.out, "metrics.json")
-    _write_json(report_path, result.report)
-    _write_manifest(args.out, cfg, [ckpt, manifest_path, curve_path, report_path])
-    print(f"test MAE {result.report['overall']['mae']:.6f}")
+    state = init_state(cfg, dataset.graph)
+    state.params.load_values(ad.load_checkpoint(args.checkpoint))
+    curve, _ = finetune(cfg, splits, dataset.graph, state, stream(cfg.seed, "batch-order"),
+                        log=print if args.verbose else None)
+    report = test_report(cfg, splits, dataset.graph, state)
+    _write_run(args.out, cfg, state, curve, report)
+    print(f"test MAE {report['overall']['mae']:.6f}")
     return 0
 
 
@@ -190,16 +184,8 @@ def cmd_evaluate(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
     state = ModelState.load(args.checkpoint, args.model_manifest)
-    _, ys = data_mod.stack_windows(splits.test)
-    preds = predict_windows(splits.test, dataset.graph, state)
-    report = metrics(preds, ys, denorm=splits.denormalize)
-    report["variant"] = cfg.variant
-    report["seed"] = cfg.seed
-    report_path = os.path.join(args.out, "metrics.json")
-    _write_json(report_path, report)
-    steps_path = os.path.join(args.out, "per_step.csv")
-    _write_csv(steps_path, per_step_table(report))
-    _write_manifest(args.out, cfg, [report_path, steps_path])
+    report = test_report(cfg, splits, dataset.graph, state)
+    _write_run(args.out, cfg, report=report)
     print(f"test MAE {report['overall']['mae']:.6f}")
     return 0
 

@@ -3,7 +3,7 @@
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

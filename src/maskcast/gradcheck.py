@@ -11,9 +11,8 @@ from . import autodiff as ad
 from .autodiff import Tensor, finite_diff_check
 from .graph import Graph
 from .masking import MaskPlan
-from .model import EncoderConfig, ModelState
+from .model import ModelState, forecast
 from .training import RunConfig, loss_pred, pretrain_forward
-from .model import forecast
 
 
 def _rand(rng, *shape, low=-2.0, high=2.0, avoid_zero=0.0):

@@ -3,7 +3,6 @@
 Also provides the uniform variants used by the ablation study.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,15 +21,6 @@ class MaskPlan:
     p_t: float
     patch_length: int
     walks: list = field(default_factory=list)  # walk paths backing masked_edges
-
-    def to_json(self):
-        return json.dumps({
-            "masked_edges": sorted(list(e) for e in self.masked_edges),
-            "patch_mask": [bool(b) for b in self.patch_mask],
-            "p_s": self.p_s,
-            "p_t": self.p_t,
-            "patch_length": self.patch_length,
-        })
 
 
 def _canonical(u, v):
@@ -77,12 +67,6 @@ def trace_spatial_mask(g, p_s, cfg, rng):
                 break
         walks.append(kept)
     return masked, walks
-
-
-def sample_spatial_mask(g, p_s, cfg, rng):
-    """Walk-based spatial edge mask of size round(|E| * p_s)."""
-    masked, _ = trace_spatial_mask(g, p_s, cfg, rng)
-    return masked
 
 
 def sample_uniform_spatial_mask(g, p_s, rng):

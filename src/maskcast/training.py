@@ -1,10 +1,8 @@
 """Two-stage learning: masked-reconstruction pretraining, then forecasting
-fine-tuning. Also hosts the loss functions and the validation-driven grid
-search.
+fine-tuning, then the test report. Also hosts the loss functions.
 """
 
-import itertools
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -12,6 +10,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from . import masking
 from .data import stack_windows
+from .evaluation import metrics
 from .graph import (adaptive_adjacency, normalize_dense, sparsify_topk,
                     WalkConfig)
 from .masking import (apply_spatial_mask, apply_temporal_mask,
@@ -19,8 +18,7 @@ from .masking import (apply_spatial_mask, apply_temporal_mask,
                       sample_temporal_mask, sample_uniform_spatial_mask,
                       sample_uniform_temporal_mask, temporal_mask_entries)
 from .model import (EncoderConfig, ModelState, embed_input, encoder_forward,
-                    forecast, model_adjacency, spatial_decoder,
-                    temporal_decoder)
+                    forecast, spatial_decoder, temporal_decoder)
 from .seeding import stream
 
 VARIANTS = ("full", "NT", "NS", "U", "baseline")
@@ -293,9 +291,9 @@ class RunResult:
     report: dict
     curve: list
     best_val_mae: float
-    sampler_calls: dict = field(default_factory=dict)
-    final_pretrain_temporal_mae: float = None
-    pretrain_loss_totals: dict = field(default_factory=dict)  # accumulated spatial/temporal
+    sampler_calls: dict
+    final_pretrain_temporal_mae: float
+    pretrain_loss_totals: dict  # accumulated spatial/temporal
 
 
 def predict_windows(windows, g, state, batch_size=64):
@@ -321,7 +319,6 @@ def _batches(n, batch_size, rng):
 
 
 def validation_mae(splits, g, state):
-    from .evaluation import metrics  # local import to avoid a module cycle
     _, ys = stack_windows(splits.val)
     preds = predict_windows(splits.val, g, state)
     report = metrics(preds, ys, denorm=splits.denormalize)
@@ -335,71 +332,81 @@ def _check_finite(value, what, stage, epoch, step=None):
         raise ValueError(f"{where}: non-finite {what} {value}")
 
 
-def run_two_stage(cfg, splits, g, log=None, initial_values=None, skip_pretrain=False):
-    """Pretrain (unless variant is baseline), fine-tune, evaluate on test.
+def init_state(cfg, g):
+    """Freshly initialized model for ``cfg`` on graph ``g``."""
+    return ModelState.initialize(cfg.encoder_config(g.n_nodes), stream(cfg.seed, "init"))
 
-    Returns the best-validation-MAE checkpoint and the per-epoch curve log.
-    ``initial_values`` warm-starts from a checkpoint; ``skip_pretrain`` runs
-    the fine-tuning stage only (the CLI finetune path).
+
+@dataclass
+class Pretraining:
+    """What the pretraining stage reports besides the parameters it updated."""
+
+    curve: list
+    sampler_calls: dict
+    final_temporal_mae: float
+    loss_totals: dict  # accumulated spatial/temporal
+    batch_order: np.random.Generator  # the stream fine-tuning continues
+
+
+def pretrain(cfg, splits, g, state, log=None):
+    """Stage 1: masked-reconstruction pretraining of ``state``, in place.
+
+    The baseline variant pretrains nothing. Every epoch replays the same
+    batch order and mask sequence, so the epoch loss is measured on a fixed
+    objective and successive epochs are directly comparable.
     """
-    from .evaluation import metrics
+    out = Pretraining(curve=[], sampler_calls={}, final_temporal_mae=None,
+                      loss_totals={"spatial": 0.0, "temporal": 0.0},
+                      batch_order=stream(cfg.seed, "batch-order"))
+    if cfg.variant == "baseline" or cfg.pretrain_epochs == 0:
+        return out
+    xs_train, _ = stack_windows(splits.train)
+    optimizer = ad.Adam(state.params, lr=cfg.lr)
+    for epoch in range(cfg.pretrain_epochs):
+        optimizer.lr = _stage_lr(cfg, epoch, cfg.pretrain_epochs)
+        rngs = {name: stream(cfg.seed, name)
+                for name in ("spatial-mask", "temporal-mask", "negative", "batch-order")}
+        out.batch_order = rngs["batch-order"]
+        mask_graph = None
+        if cfg.graph_mode == "adaptive":
+            snapshot = adaptive_adjacency(state.params["node_embeddings"]).data
+            mask_graph = sparsify_topk(snapshot, min(cfg.topk, g.n_nodes - 1))
+        losses, temporal_losses = [], []
+        for step, idx in enumerate(_batches(len(xs_train), cfg.batch_size, rngs["batch-order"])):
+            loss, l_a, l_x, plan = pretrain_step(
+                xs_train[idx], g, state, cfg, optimizer, rngs,
+                mask_graph=mask_graph, audit=out.sampler_calls)
+            _check_finite(loss, "loss", "pretrain", epoch, step)
+            losses.append(loss)
+            out.loss_totals["spatial"] += abs(l_a)
+            out.loss_totals["temporal"] += abs(l_x)
+            if plan.patch_mask.any():
+                temporal_losses.append(l_x)
+        epoch_loss = float(np.mean(losses))
+        if temporal_losses:
+            out.final_temporal_mae = float(np.mean(temporal_losses))
+        out.curve.append(CurvePoint("pretrain", epoch, epoch_loss))
+        if log:
+            log(f"pretrain epoch {epoch}: loss {epoch_loss:.6f}")
+    return out
 
-    cfg.validate()
-    state = ModelState.initialize(cfg.encoder_config(g.n_nodes), stream(cfg.seed, "init"))
-    if initial_values is not None:
-        state.params.load_values(initial_values)
-    rngs = {
-        "spatial-mask": stream(cfg.seed, "spatial-mask"),
-        "temporal-mask": stream(cfg.seed, "temporal-mask"),
-        "negative": stream(cfg.seed, "negative"),
-        "batch-order": stream(cfg.seed, "batch-order"),
-    }
+
+def finetune(cfg, splits, g, state, batch_order, log=None):
+    """Stage 2: forecasting fine-tuning of ``state``, batches drawn from ``batch_order``.
+
+    The pretraining-only parameters stay frozen. ``state`` ends at its
+    best-validation values; returns the curve points and that validation
+    MAE, which with zero epochs is the MAE of ``state`` as given.
+    """
     xs_train, ys_train = stack_windows(splits.train)
-    curve = []
-    audit = {}
-    final_temporal_mae = None
-    loss_totals = {"spatial": 0.0, "temporal": 0.0}
-
-    if cfg.variant != "baseline" and cfg.pretrain_epochs > 0 and not skip_pretrain:
-        optimizer = ad.Adam(state.params, lr=cfg.lr)
-        for epoch in range(cfg.pretrain_epochs):
-            optimizer.lr = _stage_lr(cfg, epoch, cfg.pretrain_epochs)
-            # every epoch replays the same batch order and mask sequence, so
-            # the epoch loss is measured on a fixed objective and successive
-            # epochs are directly comparable
-            rngs["spatial-mask"] = stream(cfg.seed, "spatial-mask")
-            rngs["temporal-mask"] = stream(cfg.seed, "temporal-mask")
-            rngs["negative"] = stream(cfg.seed, "negative")
-            rngs["batch-order"] = stream(cfg.seed, "batch-order")
-            mask_graph = None
-            if cfg.graph_mode == "adaptive":
-                snapshot = adaptive_adjacency(state.params["node_embeddings"]).data
-                mask_graph = sparsify_topk(snapshot, min(cfg.topk, g.n_nodes - 1))
-            losses, temporal_losses = [], []
-            for step, idx in enumerate(_batches(len(xs_train), cfg.batch_size, rngs["batch-order"])):
-                loss, l_a, l_x, plan = pretrain_step(
-                    xs_train[idx], g, state, cfg, optimizer, rngs,
-                    mask_graph=mask_graph, audit=audit)
-                _check_finite(loss, "loss", "pretrain", epoch, step)
-                losses.append(loss)
-                loss_totals["spatial"] += abs(l_a)
-                loss_totals["temporal"] += abs(l_x)
-                if plan.patch_mask.any():
-                    temporal_losses.append(l_x)
-            epoch_loss = float(np.mean(losses))
-            if temporal_losses:
-                final_temporal_mae = float(np.mean(temporal_losses))
-            curve.append(CurvePoint("pretrain", epoch, epoch_loss))
-            if log:
-                log(f"pretrain epoch {epoch}: loss {epoch_loss:.6f}")
-
     optimizer = ad.Adam(state.params, lr=cfg.lr, frozen=ModelState.PRETRAIN_ONLY)
+    curve = []
     best_val = np.inf
     best_values = state.params.copy_values()
     for epoch in range(cfg.finetune_epochs):
         optimizer.lr = _stage_lr(cfg, epoch, cfg.finetune_epochs)
         losses = []
-        for step, idx in enumerate(_batches(len(xs_train), cfg.batch_size, rngs["batch-order"])):
+        for step, idx in enumerate(_batches(len(xs_train), cfg.batch_size, batch_order)):
             losses.append(finetune_step(xs_train[idx], ys_train[idx], g, state, cfg, optimizer))
             _check_finite(losses[-1], "loss", "finetune", epoch, step)
         val_mae = validation_mae(splits, g, state)
@@ -415,37 +422,34 @@ def run_two_stage(cfg, splits, g, log=None, initial_values=None, skip_pretrain=F
     state.params.load_values(best_values)
     if cfg.finetune_epochs == 0:
         best_val = validation_mae(splits, g, state)
+    return curve, float(best_val)
 
+
+def test_report(cfg, splits, g, state):
+    """Test-split forecast metrics, tagged with the run's variant and seed."""
     _, ys_test = stack_windows(splits.test)
     preds = predict_windows(splits.test, g, state)
     report = metrics(preds, ys_test, denorm=splits.denormalize)
     report["variant"] = cfg.variant
     report["seed"] = cfg.seed
-    return RunResult(config=cfg, state=state, report=report, curve=curve,
-                     best_val_mae=float(best_val), sampler_calls=audit,
-                     final_pretrain_temporal_mae=final_temporal_mae,
-                     pretrain_loss_totals=loss_totals)
+    return report
 
 
-def grid_search(splits, g, base_cfg, grids, log=None):
-    """Lowest-validation-MAE cell over the cartesian grid.
+def run_two_stage(cfg, splits, g, log=None):
+    """Pretrain (unless variant is baseline), fine-tune, evaluate on test.
 
-    ``grids`` maps RunConfig field names to candidate value lists. Ties break
-    by lower p_s, then lower p_t, then declaration order.
+    Returns the best-validation-MAE checkpoint and the per-epoch curve log.
     """
-    if not grids or any(len(v) == 0 for v in grids.values()):
-        raise ValueError("grid_search: grids must be nonempty")
-    keys = list(grids)
-    best = None
-    for index, combo in enumerate(itertools.product(*(grids[k] for k in keys))):
-        cfg = replace(base_cfg, **dict(zip(keys, combo)))
-        result = run_two_stage(cfg, splits, g)
-        key = (result.best_val_mae, cfg.p_s, cfg.p_t, index)
-        if log:
-            log(f"grid cell {dict(zip(keys, combo))}: val MAE {result.best_val_mae:.6f}")
-        if best is None or key < best[0]:
-            best = (key, cfg)
-    return best[1]
+    cfg.validate()
+    state = init_state(cfg, g)
+    pre = pretrain(cfg, splits, g, state, log)
+    # fine-tuning continues the batch-order stream where pretraining left it
+    curve, best_val = finetune(cfg, splits, g, state, pre.batch_order, log)
+    return RunResult(config=cfg, state=state, report=test_report(cfg, splits, g, state),
+                     curve=pre.curve + curve, best_val_mae=best_val,
+                     sampler_calls=pre.sampler_calls,
+                     final_pretrain_temporal_mae=pre.final_temporal_mae,
+                     pretrain_loss_totals=pre.loss_totals)
 
 
 def curve_to_csv_rows(curve):

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from maskcast.cli import ConfigError, _write_json, dump_config, load_config, main
+from maskcast.cli import ConfigError, _write_json, load_config, main
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ class TestLoadConfig:
     def test_dump_load_round_trip(self, tmp_path):
         cfg = load_config(None, ["p_s=0.6", "seed=7"])
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(dump_config(cfg)))
+        path.write_text(json.dumps(cfg.to_dict()))
         assert load_config(str(path)) == cfg
 
 
@@ -100,6 +100,19 @@ class TestTrainPipeline:
         report = json.loads((ev / "metrics.json").read_text())
         fin_report = json.loads((fin / "metrics.json").read_text())
         assert report["overall"] == fin_report["overall"]
+        for name in ("metrics.json", "per_step.csv"):
+            assert (fin / name).read_bytes() == (ev / name).read_bytes()
+        assert set(json.loads((ev / "manifest.json").read_text())["artifacts"]) <= \
+            set(json.loads((fin / "manifest.json").read_text())["artifacts"])
+
+    def test_pretrain_runs_no_forecast(self, data_dir, tmp_path, monkeypatch):
+        def no_forecast(*args, **kwargs):
+            raise AssertionError("pretrain forecast windows")
+
+        monkeypatch.setattr("maskcast.training.predict_windows", no_forecast)
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--data", data_dir, "--out", str(out)] + FAST) == 0
+        assert {"checkpoint.json", "model.json", "curves.csv"} <= set(os.listdir(out))
 
     def test_manifest_hashes_artifacts(self, data_dir, tmp_path):
         out = tmp_path / "run"
@@ -204,7 +217,8 @@ class TestBadInput:
 
 
 class TestCheckpointChecks:
-    """A model manifest or checkpoint that names what the model lacks fails with exit 2."""
+    """A malformed model manifest or checkpoint, or one that names what the model
+    lacks, fails with exit 2."""
 
     @pytest.fixture(scope="class")
     def trained(self, data_dir, tmp_path_factory):
@@ -231,6 +245,23 @@ class TestCheckpointChecks:
         bad.write_text(json.dumps(checkpoint))
         assert self.evaluate(data_dir, tmp_path, bad, trained / "model.json") == 2
         assert "unknown parameters ['encoder.extra.w']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ckpt: {**ckpt, "embed.b": {"values": ckpt["embed.b"]["values"]}},
+         "parameter 'embed.b' missing keys ['shape']"),
+        (lambda ckpt: {**ckpt, "embed.b": {"shape": ckpt["embed.b"]["shape"]}},
+         "parameter 'embed.b' missing keys ['values']"),
+        (lambda ckpt: {**ckpt, "embed.b": ckpt["embed.b"]["values"]},
+         "parameter 'embed.b' is not an object"),
+        (lambda ckpt: list(ckpt.values()), "expected an object of parameters"),
+    ], ids=["no-shape", "no-values", "entry-not-object", "payload-not-object"])
+    def test_malformed_checkpoint(self, data_dir, trained, tmp_path, capsys, edit, message):
+        checkpoint = json.loads((trained / "checkpoint.json").read_text())
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(edit(checkpoint)))
+        assert self.evaluate(data_dir, tmp_path, bad, trained / "model.json") == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {bad}: {message}" in err
 
 
 def test_non_finite_metric_never_written(tmp_path):

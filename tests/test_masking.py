@@ -4,9 +4,8 @@ import pytest
 from maskcast import autodiff as ad
 from maskcast.autodiff import Tensor
 from maskcast.graph import Graph, WalkConfig
-from maskcast.masking import (MaskPlan, apply_spatial_mask,
-                              apply_temporal_mask, edge_mask_matrix,
-                              mask_target_size, sample_spatial_mask,
+from maskcast.masking import (apply_spatial_mask, apply_temporal_mask,
+                              edge_mask_matrix, mask_target_size,
                               sample_temporal_mask,
                               sample_uniform_spatial_mask,
                               sample_uniform_temporal_mask,
@@ -18,7 +17,7 @@ from conftest import random_graph
 class TestSpatialMask:
     def test_zero_ratio_empty(self):
         g = random_graph(8, 12, seed=0)
-        assert sample_spatial_mask(g, 0.0, WalkConfig(), np.random.default_rng(0)) == set()
+        assert trace_spatial_mask(g, 0.0, WalkConfig(), np.random.default_rng(0))[0] == set()
 
     def test_exact_count_and_walk_membership(self):
         g = random_graph(8, 10, seed=1)
@@ -33,7 +32,7 @@ class TestSpatialMask:
     @pytest.mark.parametrize("p_s", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
     def test_count_exact_across_grid(self, p_s):
         g = random_graph(12, 20, seed=3)
-        edges = sample_spatial_mask(g, p_s, WalkConfig(), np.random.default_rng(4))
+        edges = trace_spatial_mask(g, p_s, WalkConfig(), np.random.default_rng(4))[0]
         assert len(edges) == mask_target_size(20, p_s)
 
     def test_masks_are_walk_connected(self):
@@ -47,14 +46,14 @@ class TestSpatialMask:
 
     def test_seeded_reproducibility(self):
         g = random_graph(10, 20, seed=5)
-        a = sample_spatial_mask(g, 0.4, WalkConfig(p=2, q=0.5), np.random.default_rng(11))
-        b = sample_spatial_mask(g, 0.4, WalkConfig(p=2, q=0.5), np.random.default_rng(11))
+        a = trace_spatial_mask(g, 0.4, WalkConfig(p=2, q=0.5), np.random.default_rng(11))[0]
+        b = trace_spatial_mask(g, 0.4, WalkConfig(p=2, q=0.5), np.random.default_rng(11))[0]
         assert a == b
 
     def test_out_of_range_ratio_rejected(self):
         g = random_graph(5, 5, seed=0)
         with pytest.raises(ValueError, match="p_s"):
-            sample_spatial_mask(g, 1.5, WalkConfig(), np.random.default_rng(0))
+            trace_spatial_mask(g, 1.5, WalkConfig(), np.random.default_rng(0))
 
 
 class TestApplySpatialMask:
@@ -70,7 +69,7 @@ class TestApplySpatialMask:
 
     def test_mask_then_restore_is_identity(self):
         g = random_graph(8, 14, seed=1)
-        masked = sample_spatial_mask(g, 0.5, WalkConfig(), np.random.default_rng(0))
+        masked = trace_spatial_mask(g, 0.5, WalkConfig(), np.random.default_rng(0))[0]
         out = apply_spatial_mask(g, masked)
         for u, v in masked:
             out[u, v] = g.adjacency[u, v]
@@ -210,17 +209,6 @@ class TestApplyTemporalMask:
 
 
 class TestMaskPlanSerialization:
-    def test_json_dump_round_trips(self):
-        import json
-
-        plan = MaskPlan(masked_edges={(0, 1), (2, 3)},
-                        patch_mask=np.array([True, False]),
-                        p_s=0.3, p_t=0.3, patch_length=2)
-        payload = json.loads(plan.to_json())
-        assert sorted(map(tuple, payload["masked_edges"])) == [(0, 1), (2, 3)]
-        assert payload["patch_mask"] == [True, False]
-        assert payload["patch_length"] == 2
-
     def test_edge_mask_matrix_zeroes_pairs(self):
         m = edge_mask_matrix(4, {(1, 2)})
         assert m[1, 2] == 0 and m[2, 1] == 0

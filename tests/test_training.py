@@ -7,10 +7,9 @@ from maskcast.data import prepare_splits, stack_windows, synthesize
 from maskcast.model import ModelState
 from maskcast.seeding import stream
 from maskcast.training import (RunConfig, curve_to_csv_rows, finetune_step,
-                               grid_search, loss_pred, loss_pretrain,
-                               loss_spatial, loss_temporal, pretrain_forward,
-                               run_two_stage, sample_mask_plan,
-                               sample_negative_edges)
+                               loss_pred, loss_pretrain, loss_spatial,
+                               loss_temporal, pretrain_forward, run_two_stage,
+                               sample_mask_plan, sample_negative_edges)
 
 from conftest import random_graph
 
@@ -346,25 +345,6 @@ class TestDivergenceGuard:
         splits, g = self.splits_with_nan(190)
         with pytest.raises(ValueError, match=r"finetune epoch 0: non-finite validation MAE nan"):
             run_two_stage(small_cfg(), splits, g)
-
-
-class TestGridSearch:
-    def test_single_cell_returned(self, tiny):
-        splits, g = tiny
-        best = grid_search(splits, g, small_cfg(), {"p_s": [0.4]})
-        assert best.p_s == 0.4
-
-    def test_deterministic_choice(self, tiny):
-        splits, g = tiny
-        grids = {"p_s": [0.2, 0.5]}
-        a = grid_search(splits, g, small_cfg(), grids)
-        b = grid_search(splits, g, small_cfg(), grids)
-        assert a.p_s == b.p_s
-
-    def test_empty_grid_rejected(self, tiny):
-        splits, g = tiny
-        with pytest.raises(ValueError, match="grid"):
-            grid_search(splits, g, small_cfg(), {})
 
 
 class TestCurveCsv:
