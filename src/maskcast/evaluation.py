@@ -68,7 +68,6 @@ def run_ablation(splits, g, base_cfg, seeds, log=None):
     if not seeds:
         raise ValueError("run_ablation: need at least one seed")
     rows = []
-    results = {}
     for variant in VARIANTS:
         for seed in seeds:
             cfg = replace(base_cfg, variant=variant, seed=seed)
@@ -83,9 +82,7 @@ def run_ablation(splits, g, base_cfg, seeds, log=None):
                 "mape": result.report["overall"]["mape"],
                 "sampler_calls": result.sampler_calls,
                 "pretrain_loss_totals": result.pretrain_loss_totals,
-                "curve": result.curve,
             })
-            results.setdefault(variant, []).append(result)
 
     summary = {}
     for variant in VARIANTS:

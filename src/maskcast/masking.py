@@ -1,6 +1,7 @@
 """Dual masking: walk-based edge masking and patch-based temporal masking.
 
-Also provides the uniform variants used by the ablation study.
+Also provides the uniform edge mask used by the ablation study; its uniform
+temporal mask is ``sample_temporal_mask`` with one step per patch.
 """
 
 from dataclasses import dataclass, field
@@ -83,25 +84,22 @@ def sample_uniform_spatial_mask(g, p_s, rng):
 def apply_spatial_mask(g, masked):
     """Adjacency copy with both entries of each masked edge zeroed."""
     edge_set = g.edge_set()
-    out = g.adjacency.copy()
     for u, v in masked:
         if _canonical(u, v) not in edge_set:
             raise ValueError(f"masked edge ({u}, {v}) is not in the graph")
-        out[u, v] = 0.0
-        out[v, u] = 0.0
-    return out
+    return g.adjacency * edge_mask_matrix(g.n_nodes, masked)
 
 
 def edge_mask_matrix(n_nodes, masked):
     """0/1 matrix that zeroes masked entries when multiplied elementwise.
 
-    Used on learned dense adjacencies, where masking must stay inside the
-    differentiable graph.
+    Used on learned dense adjacencies too, where masking must stay inside
+    the differentiable graph.
     """
+    u, v = np.asarray(list(masked), dtype=np.int64).reshape(-1, 2).T
     m = np.ones((n_nodes, n_nodes))
-    for u, v in masked:
-        m[u, v] = 0.0
-        m[v, u] = 0.0
+    m[u, v] = 0.0
+    m[v, u] = 0.0
     return m
 
 
@@ -117,9 +115,11 @@ def sample_temporal_mask(n_patches, p_t, rng):
     return mask
 
 
-def sample_uniform_temporal_mask(n_steps, p_t, rng):
-    """Per-timestep Bernoulli masking (patch length 1, ablation variant)."""
-    return sample_temporal_mask(n_steps, p_t, rng)
+def step_mask(patch_mask, n_steps):
+    """[H, 1, 1] 0/1 array marking the steps that fall in masked patches."""
+    patch_len = n_steps // len(patch_mask)
+    steps = np.repeat(np.asarray(patch_mask, dtype=bool), patch_len)
+    return steps.astype(np.float64).reshape(n_steps, 1, 1)
 
 
 def apply_temporal_mask(x_emb, patch_mask, mask_token):
@@ -129,24 +129,12 @@ def apply_temporal_mask(x_emb, patch_mask, mask_token):
     over every masked position, so its gradient comes only from masked
     patches.
     """
-    h, n, d = x_emb.shape[-3:]
+    h, _, d = x_emb.shape[-3:]
     n_patches = len(patch_mask)
     if h % n_patches != 0:
         raise ad.ShapeError(f"apply_temporal_mask: history {h} not divisible into {n_patches} patches")
     if mask_token.shape != (d,):
         raise ad.ShapeError(f"apply_temporal_mask: token shape {tuple(mask_token.shape)} != ({d},)")
-    patch_len = h // n_patches
 
-    step_masked = np.repeat(np.asarray(patch_mask, dtype=bool), patch_len)
-    keep = ad.Tensor((~step_masked).astype(np.float64).reshape(h, 1, 1))
-    fill = ad.Tensor(step_masked.astype(np.float64).reshape(h, 1, 1))
-    return ad.add(ad.mul(x_emb, keep), ad.mul(mask_token, fill))
-
-
-def temporal_mask_entries(patch_mask, h, n, c):
-    """0/1 array [H, N, C] marking raw-value positions under masked patches."""
-    patch_len = h // len(patch_mask)
-    step_masked = np.repeat(np.asarray(patch_mask, dtype=bool), patch_len)
-    out = np.zeros((h, n, c))
-    out[step_masked] = 1.0
-    return out
+    fill = step_mask(patch_mask, h)
+    return ad.add(ad.mul(x_emb, ad.Tensor(1.0 - fill)), ad.mul(mask_token, ad.Tensor(fill)))

@@ -2,8 +2,10 @@
 
 Input embedding, a single-layer graph-convolutional GRU encoder, an MLP
 predictor, and the two pretraining decoders (adjacency head and window
-reconstruction head). All forward math runs on autodiff tensors; batched
-inputs [B, H, N, C] and single windows [H, N, C] are both accepted.
+reconstruction head). Also the propagation matrix, with or without masked
+edges, and the graph edge masks are drawn from, for both graph modes. All
+forward math runs on autodiff tensors; batched inputs [B, H, N, C] and
+single windows [H, N, C] are both accepted.
 """
 
 import json
@@ -13,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import adaptive_adjacency, normalize_adjacency
+from .graph import adaptive_adjacency, normalize_adjacency, normalize_dense, sparsify_topk
+from .masking import apply_spatial_mask, edge_mask_matrix
 
 
 @dataclass
@@ -93,8 +96,8 @@ def embed_input(x, params):
 def encoder_forward(x_emb, adjacency, params):
     """Gated graph-convolutional recurrence over the history axis.
 
-    ``adjacency`` must already be row-stochastic (see ``normalize_adjacency``
-    / ``adaptive_adjacency``). Returns the final hidden state [..., N, D].
+    ``adjacency`` is the propagation matrix ``model_adjacency`` builds.
+    Returns the final hidden state [..., N, D].
     """
     return ad.graph_gru(x_emb, adjacency,
                         params["encoder.update.w"], params["encoder.update.b"],
@@ -134,11 +137,31 @@ def _unflatten_steps(flat, steps, channels):
     return ad.transpose(cube, axes)
 
 
-def model_adjacency(g, state):
-    """Row-stochastic propagation matrix for the configured graph mode."""
+def model_adjacency(g, state, masked_edges=()):
+    """Propagation matrix for the configured graph mode, with both entries of
+    each masked edge zeroed.
+
+    Predefined: row-normalized ``g`` with the masked edges removed. Adaptive:
+    the learned row-stochastic matrix, masked after the softmax; only
+    ``g.n_nodes`` is read.
+    """
     if state.config.graph_mode == "adaptive":
-        return adaptive_adjacency(state.params["node_embeddings"])
+        adjacency = adaptive_adjacency(state.params["node_embeddings"])
+        if masked_edges:
+            adjacency = ad.mul(adjacency, Tensor(edge_mask_matrix(g.n_nodes, masked_edges)))
+        return adjacency
+    if masked_edges:
+        return Tensor(normalize_dense(apply_spatial_mask(g, masked_edges)))
     return Tensor(normalize_adjacency(g))
+
+
+def mask_sampling_graph(g, state):
+    """Graph the edge masks are drawn from: ``g``, or in adaptive mode the
+    top-k sparsified snapshot of the current learned adjacency."""
+    if state.config.graph_mode == "adaptive":
+        snapshot = adaptive_adjacency(state.params["node_embeddings"]).data
+        return sparsify_topk(snapshot, min(state.config.topk, g.n_nodes - 1))
+    return g
 
 
 def forecast(x, g, state):

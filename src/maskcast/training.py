@@ -11,14 +11,12 @@ from .autodiff import Tensor
 from . import masking
 from .data import stack_windows
 from .evaluation import metrics
-from .graph import (adaptive_adjacency, normalize_dense, sparsify_topk,
-                    WalkConfig)
-from .masking import (apply_spatial_mask, apply_temporal_mask,
-                      edge_mask_matrix,
-                      sample_temporal_mask, sample_uniform_spatial_mask,
-                      sample_uniform_temporal_mask, temporal_mask_entries)
+from .graph import WalkConfig
+from .masking import (apply_temporal_mask, sample_temporal_mask,
+                      sample_uniform_spatial_mask, step_mask)
 from .model import (EncoderConfig, ModelState, embed_input, encoder_forward,
-                    forecast, spatial_decoder, temporal_decoder)
+                    forecast, mask_sampling_graph, model_adjacency,
+                    spatial_decoder, temporal_decoder)
 from .seeding import stream
 
 VARIANTS = ("full", "NT", "NS", "U", "baseline")
@@ -118,18 +116,15 @@ def loss_spatial(a_hat, masked_edges, negative_edges=None):
     batch = int(np.prod(a_hat.shape[:-2])) if len(a_hat.shape) > 2 else 1
 
     def flat_indices(pairs):
-        idx = []
-        for b in range(batch):
-            base = b * n * n
-            for u, v in pairs:
-                u, v = (u, v) if u < v else (v, u)
-                idx.append(base + u * n + v)
-        return np.asarray(idx, dtype=np.int64)
+        # sorted pairs, each as (min, max), repeated per batch item
+        lo_hi = np.sort(np.asarray(sorted(pairs), dtype=np.int64), axis=1)
+        within = lo_hi[:, 0] * n + lo_hi[:, 1]
+        return (np.arange(batch, dtype=np.int64)[:, None] * (n * n) + within).reshape(-1)
 
-    pos = ad.tsum(ad.tlog(ad.gather_flat(a_hat, flat_indices(sorted(masked_edges)))))
+    pos = ad.tsum(ad.tlog(ad.gather_flat(a_hat, flat_indices(masked_edges))))
     count = batch * len(masked_edges)
     if negative_edges:
-        neg_vals = ad.gather_flat(a_hat, flat_indices(sorted(negative_edges)))
+        neg_vals = ad.gather_flat(a_hat, flat_indices(negative_edges))
         neg = ad.tsum(ad.tlog(ad.sub(Tensor(1.0), neg_vals)))
         pos = ad.add(pos, neg)
         count += batch * len(negative_edges)
@@ -145,10 +140,10 @@ def loss_temporal(x_hat, x, patch_mask):
     if not mask.any():
         return Tensor(0.0)
     h, n, c = x_hat.shape[-3:]
-    entries = temporal_mask_entries(mask, h, n, c)
+    steps = step_mask(mask, h)
     batch = int(np.prod(x_hat.shape[:-3])) if len(x_hat.shape) > 3 else 1
-    count = batch * entries.sum()
-    masked_abs = ad.mul(ad.tabs(ad.sub(x_hat, xt)), Tensor(entries))
+    count = batch * steps.sum() * n * c
+    masked_abs = ad.mul(ad.tabs(ad.sub(x_hat, xt)), Tensor(steps))
     return ad.scale(ad.tsum(masked_abs), 1.0 / count)
 
 
@@ -183,7 +178,7 @@ def sample_mask_plan(cfg, mask_graph, rng_spatial, rng_temporal, audit=None):
         patch_length = cfg.patch_length
         _count(audit, "patch_temporal")
     elif variant == "U" and cfg.p_t > 0:
-        patch_mask = sample_uniform_temporal_mask(cfg.history, cfg.p_t, rng_temporal)
+        patch_mask = sample_temporal_mask(cfg.history, cfg.p_t, rng_temporal)
         patch_length = 1
         _count(audit, "uniform_temporal")
     else:
@@ -202,13 +197,11 @@ def _count(audit, key):
 
 def sample_negative_edges(mask_graph, count, rng):
     """Uniformly sampled non-edges (u < v), as many as requested."""
-    n = mask_graph.n_nodes
-    present = mask_graph.edge_set()
-    candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
-    if not candidates:
+    lo, hi = np.nonzero(np.triu(mask_graph.adjacency == 0, 1))
+    if not len(lo):
         return []
-    picks = rng.choice(len(candidates), size=min(count, len(candidates)), replace=False)
-    return [candidates[i] for i in picks]
+    picks = rng.choice(len(lo), size=min(count, len(lo)), replace=False)
+    return [(int(lo[i]), int(hi[i])) for i in picks]
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +215,9 @@ def pretrain_forward(x_batch, g, state, cfg, plan, negative_edges=None, mask_gra
     x_emb = embed_input(x, params)
     if plan.patch_mask.any():
         x_emb = apply_temporal_mask(x_emb, plan.patch_mask, params["mask_token"])
-
-    if cfg.graph_mode == "adaptive":
-        adjacency = adaptive_adjacency(params["node_embeddings"])
-        if plan.masked_edges:
-            adjacency = ad.mul(adjacency, Tensor(edge_mask_matrix(g.n_nodes, plan.masked_edges)))
-    else:
-        base = mask_graph if mask_graph is not None else g
-        masked_adj = apply_spatial_mask(base, plan.masked_edges) if plan.masked_edges else base.adjacency
-        adjacency = Tensor(normalize_dense(masked_adj))
-
+    # the plan's edges were drawn from mask_graph, so they are removed from it
+    adjacency = model_adjacency(mask_graph if mask_graph is not None else g, state,
+                                plan.masked_edges)
     s = encoder_forward(x_emb, adjacency, params)
 
     if plan.masked_edges:
@@ -286,7 +272,6 @@ class CurvePoint:
 
 @dataclass
 class RunResult:
-    config: RunConfig
     state: ModelState
     report: dict
     curve: list
@@ -367,10 +352,7 @@ def pretrain(cfg, splits, g, state, log=None):
         rngs = {name: stream(cfg.seed, name)
                 for name in ("spatial-mask", "temporal-mask", "negative", "batch-order")}
         out.batch_order = rngs["batch-order"]
-        mask_graph = None
-        if cfg.graph_mode == "adaptive":
-            snapshot = adaptive_adjacency(state.params["node_embeddings"]).data
-            mask_graph = sparsify_topk(snapshot, min(cfg.topk, g.n_nodes - 1))
+        mask_graph = mask_sampling_graph(g, state)
         losses, temporal_losses = [], []
         for step, idx in enumerate(_batches(len(xs_train), cfg.batch_size, rngs["batch-order"])):
             loss, l_a, l_x, plan = pretrain_step(
@@ -445,7 +427,7 @@ def run_two_stage(cfg, splits, g, log=None):
     pre = pretrain(cfg, splits, g, state, log)
     # fine-tuning continues the batch-order stream where pretraining left it
     curve, best_val = finetune(cfg, splits, g, state, pre.batch_order, log)
-    return RunResult(config=cfg, state=state, report=test_report(cfg, splits, g, state),
+    return RunResult(state=state, report=test_report(cfg, splits, g, state),
                      curve=pre.curve + curve, best_val_mae=best_val,
                      sampler_calls=pre.sampler_calls,
                      final_pretrain_temporal_mae=pre.final_temporal_mae,

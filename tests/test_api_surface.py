@@ -6,9 +6,13 @@ than its own definition: in the package, in ``perfbench/*.py``, or as the
 console-script entry in ``pyproject.toml``. String literals are not
 references, so a name that only appears in a lookup table of strings does
 not keep a definition alive.
+
+The names the benchmark's span tracer looks up must still exist, so that
+deleting one fails here rather than in a traced benchmark run.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 from collections import Counter
@@ -60,3 +64,14 @@ def test_string_literals_are_not_references():
     assert found["concat"] == 1 and found["MaskPlan"] == 1 and found["ad"] == 1
     assert found["tanh"] == 0 and found["take"] == 0
 
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # perfbench/run.py puts its own directory on sys.path to import spans
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    missing = [f"{module.__name__}.{name}" for module, names in spans.TRACED.items()
+               for name in names if not hasattr(module, name)]
+    missing += [f"autodiff.{name}" for name in spans.KERNELS if not hasattr(spans.autodiff, name)]
+    missing += [f"{cls.__name__}.{name}" for cls, name in spans.METHODS if not hasattr(cls, name)]
+    assert missing == []

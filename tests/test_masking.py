@@ -8,7 +8,6 @@ from maskcast.masking import (apply_spatial_mask, apply_temporal_mask,
                               edge_mask_matrix, mask_target_size,
                               sample_temporal_mask,
                               sample_uniform_spatial_mask,
-                              sample_uniform_temporal_mask,
                               trace_spatial_mask)
 
 from conftest import random_graph
@@ -154,13 +153,13 @@ class TestUniformVariants:
     def test_uniform_temporal_mean_count(self):
         rng = np.random.default_rng(4)
         n = 100_000
-        total = sum(sample_uniform_temporal_mask(12, 0.25, rng).sum() for _ in range(n))
+        total = sum(sample_temporal_mask(12, 0.25, rng).sum() for _ in range(n))
         assert abs(total / n - 3.0) < 0.05
 
     def test_uniform_temporal_guard(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
-            assert not sample_uniform_temporal_mask(3, 0.9, rng).all()
+            assert not sample_temporal_mask(3, 0.9, rng).all()
 
 
 class TestApplyTemporalMask:

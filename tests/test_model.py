@@ -3,10 +3,13 @@ import pytest
 
 from maskcast import autodiff as ad
 from maskcast.autodiff import Tensor
-from maskcast.graph import Graph, adaptive_adjacency, normalize_adjacency
+from maskcast.graph import (Graph, WalkConfig, adaptive_adjacency,
+                            normalize_adjacency, normalize_dense, sparsify_topk)
+from maskcast.masking import trace_spatial_mask
 from maskcast.model import (EncoderConfig, ModelState, embed_input,
-                            encoder_forward, forecast, predictor,
-                            spatial_decoder, temporal_decoder)
+                            encoder_forward, forecast, mask_sampling_graph,
+                            model_adjacency, predictor, spatial_decoder,
+                            temporal_decoder)
 from maskcast.training import RunConfig
 
 from conftest import random_graph
@@ -272,6 +275,64 @@ class TestForecast:
         state.params["mask_token"].data = np.full(3, 123.0)
         after = forecast(x, cycle_graph, state).data
         np.testing.assert_array_equal(before, after)
+
+
+class TestModelAdjacency:
+    """One builder for the propagation matrix, masked or not, in both modes."""
+
+    @staticmethod
+    def walk_masked(n=12, n_edges=30):
+        g = random_graph(n, n_edges, seed=4)
+        masked, _ = trace_spatial_mask(g, 0.3, WalkConfig(), np.random.default_rng(5))
+        assert masked
+        return g, masked
+
+    @staticmethod
+    def zero_one(n, masked):
+        m = np.ones((n, n))
+        for u, v in masked:
+            m[u, v] = m[v, u] = 0.0
+        return m
+
+    def test_predefined_masked_equals_normalized_zeroed_copy(self):
+        g, masked = self.walk_masked()
+        zeroed = g.adjacency.copy()
+        for u, v in masked:
+            zeroed[u, v] = zeroed[v, u] = 0.0
+        got = model_adjacency(g, make_state(n_nodes=g.n_nodes), masked)
+        np.testing.assert_array_equal(got.data, normalize_dense(zeroed))
+        assert not got.requires_grad
+
+    def test_adaptive_masked_equals_softmax_times_mask(self):
+        g, masked = self.walk_masked()
+        state = make_state(n_nodes=g.n_nodes, graph_mode="adaptive", node_embed_dim=3)
+        got = model_adjacency(g, state, masked)
+        want = adaptive_adjacency(state.params["node_embeddings"]).data * self.zero_one(g.n_nodes, masked)
+        np.testing.assert_array_equal(got.data, want)
+        state.params.zero_grad()
+        ad.backward(ad.tsum(got))
+        assert np.abs(state.params["node_embeddings"].grad).max() > 0
+
+    def test_unmasked_is_forecast_adjacency(self):
+        g, _ = self.walk_masked()
+        predefined = make_state(n_nodes=g.n_nodes)
+        np.testing.assert_array_equal(model_adjacency(g, predefined).data, normalize_adjacency(g))
+        adaptive = make_state(n_nodes=g.n_nodes, graph_mode="adaptive", node_embed_dim=3)
+        np.testing.assert_array_equal(model_adjacency(g, adaptive).data,
+                                      adaptive_adjacency(adaptive.params["node_embeddings"]).data)
+
+    def test_predefined_rejects_edge_outside_graph(self, path_graph):
+        with pytest.raises(ValueError, match="not in the graph"):
+            model_adjacency(path_graph, make_state(n_nodes=3), {(0, 2)})
+
+    def test_mask_sampling_graph(self):
+        g, _ = self.walk_masked()
+        assert mask_sampling_graph(g, make_state(n_nodes=g.n_nodes)) is g
+        state = make_state(n_nodes=g.n_nodes, graph_mode="adaptive", node_embed_dim=3, topk=4)
+        got = mask_sampling_graph(g, state)
+        want = sparsify_topk(adaptive_adjacency(state.params["node_embeddings"]).data, 4)
+        np.testing.assert_array_equal(got.adjacency, want.adjacency)
+        assert got.edges == want.edges
 
 
 class TestModelStateIO:
