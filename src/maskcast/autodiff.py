@@ -488,15 +488,6 @@ class ParameterTree:
     def __getitem__(self, path):
         return self._entries[path]
 
-    def __contains__(self, path):
-        return path in self._entries
-
-    def __len__(self):
-        return len(self._entries)
-
-    def paths(self):
-        return list(self._entries)
-
     def items(self):
         return self._entries.items()
 
@@ -554,15 +545,15 @@ def load_checkpoint(path):
     return out
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
 class Adam:
     """Adam with per-parameter moment state, keyed by parameter path."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, frozen=()):
+    def __init__(self, params, lr=1e-3, frozen=()):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.frozen = set(frozen)
         self.t = 0
         self.m = {p: np.zeros_like(t.data) for p, t in params.items()}
@@ -570,26 +561,29 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for path, tensor in self.params.items():
             if path in self.frozen:
                 continue
             if tensor.grad is None:
                 raise ValueError(f"adam_step: parameter {path!r} has no gradient")
             g = tensor.grad
-            self.m[path] = self.beta1 * self.m[path] + (1.0 - self.beta1) * g
-            self.v[path] = self.beta2 * self.v[path] + (1.0 - self.beta2) * g * g
+            self.m[path] = ADAM_BETA1 * self.m[path] + (1.0 - ADAM_BETA1) * g
+            self.v[path] = ADAM_BETA2 * self.v[path] + (1.0 - ADAM_BETA2) * g * g
             m_hat = self.m[path] / b1t
             v_hat = self.v[path] / b2t
-            tensor.data = tensor.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            tensor.data = tensor.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
 # Gradient checking
 # ---------------------------------------------------------------------------
 
-def finite_diff_check(f, params, step=1e-5):
+FD_STEP = 1e-5  # central-difference half-width
+
+
+def finite_diff_check(f, params):
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` maps the current parameter values to a scalar Tensor and is called
@@ -608,14 +602,14 @@ def finite_diff_check(f, params, step=1e-5):
         flat = tensor.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             hi = f().item()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             lo = f().item()
             flat[i] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise ValueError("finite_diff_check: non-finite loss value")
-            numeric = (hi - lo) / (2.0 * step)
+            numeric = (hi - lo) / (2.0 * FD_STEP)
             a = analytic[path].reshape(-1)[i]
             err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, err)

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -22,12 +23,8 @@ from .evaluation import (ablation_csv_rows, heatmap_csv_rows, per_step_table,
                          run_ablation, sensitivity_sweep)
 from .model import ModelState
 from .seeding import stream
-from .training import (RunConfig, curve_to_csv_rows, finetune, init_state,
-                       pretrain, run_two_stage, test_report)
-
-
-class ConfigError(ValueError):
-    pass
+from .training import (VARIANTS, ConfigError, RunConfig, curve_to_csv_rows,
+                       finetune, init_state, pretrain, run_two_stage, test_report)
 
 
 _CONFIG_ALIASES = {"lambda": "lam", "L": "patch_length", "p": "walk_p", "q": "walk_q"}
@@ -35,7 +32,7 @@ _CONFIG_ALIASES = {"lambda": "lam", "L": "patch_length", "p": "walk_p", "q": "wa
 
 def load_config(path=None, overrides=()):
     """RunConfig from an optional JSON file plus key=value overrides."""
-    fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
     merged = {}
 
     def absorb(key, value):
@@ -67,12 +64,14 @@ def load_config(path=None, overrides=()):
             value = text
         absorb(key, value)
 
+    return RunConfig(**merged).validate()
+
+
+def _parse_list(text, kind, flag):
     try:
-        cfg = RunConfig(**merged)
-        cfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
-    return cfg
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma-separated list of {kind.__name__} values, got {text!r}")
 
 
 def _sha256(path):
@@ -96,7 +95,7 @@ def _write_json(path, payload):
 
 def _write_manifest(out_dir, cfg, artifacts):
     manifest = {
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,
         "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts},
     }
@@ -191,9 +190,11 @@ def cmd_evaluate(args, cfg):
 
 
 def cmd_ablate(args, cfg):
+    seeds = _parse_list(args.seeds, int, "--seeds")
+    for variant, seed in itertools.product(VARIANTS, seeds):
+        dataclasses.replace(cfg, variant=variant, seed=seed).validate()  # before the first run
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
-    seeds = [int(s) for s in args.seeds.split(",")]
     ablation = run_ablation(splits, dataset.graph, cfg, seeds,
                             log=print if args.verbose else None)
     table_path = os.path.join(args.out, "ablation.csv")
@@ -207,11 +208,13 @@ def cmd_ablate(args, cfg):
 
 
 def cmd_sweep(args, cfg):
+    seeds = _parse_list(args.seeds, int, "--seeds")
+    ps_grid = _parse_list(args.ps_grid, float, "--ps-grid")
+    pt_grid = _parse_list(args.pt_grid, float, "--pt-grid")
+    for p_s, p_t, seed in itertools.product(ps_grid, pt_grid, seeds):
+        dataclasses.replace(cfg, p_s=p_s, p_t=p_t, seed=seed).validate()  # before the first run
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    ps_grid = [float(v) for v in args.ps_grid.split(",")]
-    pt_grid = [float(v) for v in args.pt_grid.split(",")]
     sweep = sensitivity_sweep(splits, dataset.graph, cfg, ps_grid, pt_grid, seeds,
                               log=print if args.verbose else None)
     heat_path = os.path.join(args.out, "heatmap.csv")
@@ -300,12 +303,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
+        return args.fn(args, load_config(args.config, args.overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.fn(args, cfg)
     except (OSError, ValueError, ad.ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

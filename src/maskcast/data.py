@@ -11,7 +11,10 @@ from .graph import (Graph, gaussian_threshold_graph, load_edge_list,
                     normalize_adjacency, save_edge_list)
 from .seeding import stream
 
-DAY_STEPS = 288  # one synthetic day at 5-minute resolution
+STEP_SECONDS = 300.0  # synthetic series are sampled every 5 minutes
+DAY_STEPS = 288  # one synthetic day at that resolution
+GRAPH_EPSILON = 0.5  # Gaussian-kernel weight below which synthetic node pairs are unlinked
+TRAIN_FRACTION, VAL_FRACTION = 0.6, 0.2  # the 6:2:2 chronological split; test is the rest
 
 
 @dataclass
@@ -19,19 +22,6 @@ class Dataset:
     values: np.ndarray  # [T, N, C]
     period: float  # seconds per step
     graph: Graph
-    normalization: tuple = None  # (mean, std) per feature, set by zscore_fit_apply
-
-    @property
-    def n_steps(self):
-        return self.values.shape[0]
-
-    @property
-    def n_nodes(self):
-        return self.values.shape[1]
-
-    @property
-    def n_features(self):
-        return self.values.shape[2]
 
 
 @dataclass
@@ -48,22 +38,21 @@ class SplitWindows:
     train: list
     val: list
     test: list
-    mean: np.ndarray = None
-    std: np.ndarray = None
+    mean: np.ndarray
+    std: np.ndarray
 
     def denormalize(self, arr):
-        if self.mean is None:
-            return arr
         return arr * self.std + self.mean
 
 
-def synthesize(n_nodes, n_steps, seed, autoreg=0.85, season_scale=1.0,
-               noise_scale=0.1, epsilon=0.5, period=300.0):
+def synthesize(n_nodes, n_steps, seed, autoreg=0.85, noise_scale=0.1):
     """Diffusion + seasonality + noise process on a random geometric graph.
 
-    x_{t+1} = a * P x_t + s * season(t) + noise, with P the row-normalized
+    x_{t+1} = a * P x_t + season(t) + noise, with P the row-normalized
     adjacency; a < 1 keeps the signal bounded. Values are shifted to be
-    nonnegative at the end.
+    nonnegative at the end. Fixed: the graph links points whose kernel weight
+    reaches ``GRAPH_EPSILON``, season(t) has period ``DAY_STEPS`` and a
+    per-node amplitude in [0.5, 1.5], and steps are ``STEP_SECONDS`` apart.
     """
     if n_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {n_nodes}")
@@ -77,7 +66,7 @@ def synthesize(n_nodes, n_steps, seed, autoreg=0.85, season_scale=1.0,
     for _ in range(10):
         points = rng_graph.uniform(size=(n_nodes, 2))
         dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-        candidate = gaussian_threshold_graph(dist, epsilon=epsilon)
+        candidate = gaussian_threshold_graph(dist, epsilon=GRAPH_EPSILON)
         if candidate.n_edges > 0:
             g = candidate
             break
@@ -94,17 +83,17 @@ def synthesize(n_nodes, n_steps, seed, autoreg=0.85, season_scale=1.0,
     for t in range(n_steps):
         series[t] = x
         season = amp * np.sin(2 * np.pi * t / DAY_STEPS + phase)
-        x = autoreg * (prop @ x) + season_scale * season + rng_sig.normal(scale=noise_scale, size=n_nodes)
+        x = autoreg * (prop @ x) + season + rng_sig.normal(scale=noise_scale, size=n_nodes)
     series -= series.min()
-    return Dataset(values=series[:, :, None], period=period, graph=g)
+    return Dataset(values=series[:, :, None], period=STEP_SECONDS, graph=g)
 
 
-def zscore_fit_apply(dataset, train_fraction=0.6):
+def zscore_fit_apply(dataset):
     """Standardize using statistics from the leading training rows only.
 
     Returns (normalized dataset, (mean, std)) with per-feature statistics.
     """
-    t_train = int(dataset.n_steps * train_fraction)
+    t_train = int(len(dataset.values) * TRAIN_FRACTION)
     if t_train < 1:
         raise ValueError("training portion is empty")
     train = dataset.values[:t_train]
@@ -116,14 +105,12 @@ def zscore_fit_apply(dataset, train_fraction=0.6):
         values=(dataset.values - mean) / std,
         period=dataset.period,
         graph=dataset.graph,
-        normalization=(mean, std),
     )
     return normalized, (mean, std)
 
 
-def make_windows(dataset_or_values, history, horizon):
-    """All stride-1 (history, horizon) window pairs."""
-    values = dataset_or_values.values if isinstance(dataset_or_values, Dataset) else dataset_or_values
+def make_windows(values, history, horizon):
+    """All stride-1 (history, horizon) window pairs of a [T, N, C] array."""
     t_total = values.shape[0]
     if t_total < history + horizon:
         raise ValueError(f"series length {t_total} < history + horizon = {history + horizon}")
@@ -142,15 +129,15 @@ def chrono_split(windows):
     n = len(windows)
     if n < 5:
         raise ValueError(f"need at least 5 windows to split, got {n}")
-    n_train = int(n * 0.6)
-    n_val = int(n * 0.2)
+    n_train = int(n * TRAIN_FRACTION)
+    n_val = int(n * VAL_FRACTION)
     return windows[:n_train], windows[n_train:n_train + n_val], windows[n_train + n_val:]
 
 
-def prepare_splits(dataset, history, horizon, train_fraction=0.6):
+def prepare_splits(dataset, history, horizon):
     """Normalize, window, and split a raw dataset for training."""
-    normalized, (mean, std) = zscore_fit_apply(dataset, train_fraction)
-    windows = make_windows(normalized, history, horizon)
+    normalized, (mean, std) = zscore_fit_apply(dataset)
+    windows = make_windows(normalized.values, history, horizon)
     train, val, test = chrono_split(windows)
     return SplitWindows(train=train, val=val, test=test, mean=mean, std=std)
 
@@ -183,10 +170,18 @@ def save_csv(dataset, values_path, edges_path, meta_path):
 def load_csv(values_path, edges_path, meta_path):
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta file {meta_path}: expected a JSON object")
     missing = [k for k in ("n_nodes", "n_features", "period_seconds") if k not in meta]
     if missing:
         raise ValueError(f"meta file {meta_path}: missing keys {missing}")
-    n, c = meta["n_nodes"], meta["n_features"]
+    n, c, period = meta["n_nodes"], meta["n_features"], meta["period_seconds"]
+    for key, value in (("n_nodes", n), ("n_features", c)):
+        if type(value) is not int or value < 1:  # a JSON true is not a count
+            raise ValueError(f"meta file {meta_path}: {key} must be a positive integer, got {value!r}")
+    if type(period) not in (int, float) or not 0 < period < np.inf:
+        raise ValueError(f"meta file {meta_path}: period_seconds must be a positive finite number, "
+                         f"got {period!r}")
 
     rows = []
     with open(values_path, newline="") as fh:
@@ -213,7 +208,7 @@ def load_csv(values_path, edges_path, meta_path):
                          f"at row {r + 1}, column {col}")
     values = values.reshape(len(rows), n, c)
     g = load_edge_list(edges_path, n_nodes=n)
-    return Dataset(values=values, period=meta["period_seconds"], graph=g)
+    return Dataset(values=values, period=period, graph=g)
 
 
 def _is_float(cell):
@@ -224,9 +219,9 @@ def _is_float(cell):
         return False
 
 
-def dataset_paths(directory, prefix="dataset"):
+def dataset_paths(directory):
     return (
-        os.path.join(directory, f"{prefix}_values.csv"),
-        os.path.join(directory, f"{prefix}_edges.csv"),
-        os.path.join(directory, f"{prefix}_meta.json"),
+        os.path.join(directory, "dataset_values.csv"),
+        os.path.join(directory, "dataset_edges.csv"),
+        os.path.join(directory, "dataset_meta.json"),
     )

@@ -10,17 +10,14 @@ MAPE_FLOOR = 1e-3  # targets below this (original units) are excluded from MAPE
 def metrics(y_hat, y, denorm=None):
     """Per-horizon-step MAE / RMSE / MAPE plus their across-step averages.
 
-    Inputs are [W, F, N, C] (or [F, N, C]); metrics are computed in original
-    units via ``denorm``. MAPE at a step is absent when every target there
+    Inputs are [W, F, N, C]; metrics are computed in original units via
+    ``denorm``. MAPE at a step is absent when every target there
     falls below the magnitude floor.
     """
     y_hat = np.asarray(y_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if y_hat.shape != y.shape:
-        raise ValueError(f"metrics: shapes {y_hat.shape} vs {y.shape}")
-    if y_hat.ndim == 3:
-        y_hat = y_hat[None]
-        y = y[None]
+    if y_hat.shape != y.shape or y.ndim != 4:
+        raise ValueError(f"metrics: shapes {y_hat.shape} vs {y.shape}, expected matching [W, F, N, C]")
     if denorm is not None:
         y_hat = denorm(y_hat)
         y = denorm(y)
@@ -65,8 +62,6 @@ def run_ablation(splits, g, base_cfg, seeds, log=None):
     """
     from .training import run_two_stage, VARIANTS
 
-    if not seeds:
-        raise ValueError("run_ablation: need at least one seed")
     rows = []
     for variant in VARIANTS:
         for seed in seeds:

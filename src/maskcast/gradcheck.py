@@ -82,9 +82,9 @@ def toy_setup(seed=0, graph_mode="predefined"):
     return g, cfg, state, x, y
 
 
-def pred_loss_check(seed=0, graph_mode="predefined"):
+def pred_loss_check(seed=0):
     """Finite-difference error of the forecasting loss on the toy model."""
-    g, cfg, state, x, y = toy_setup(seed, graph_mode)
+    g, cfg, state, x, y = toy_setup(seed)
 
     def f():
         return loss_pred(forecast(x, g, state), y)
@@ -92,10 +92,9 @@ def pred_loss_check(seed=0, graph_mode="predefined"):
     return finite_diff_check(f, state.params)
 
 
-def pretrain_loss_check(seed=0, graph_mode="predefined", lam=1.0):
-    """Finite-difference error of the joint reconstruction loss on the toy model."""
+def pretrain_loss_check(seed=0, graph_mode="predefined"):
+    """Finite-difference error of the joint reconstruction loss (lambda = 1) on the toy model."""
     g, cfg, state, x, y = toy_setup(seed, graph_mode)
-    cfg.lam = lam
     plan = MaskPlan(masked_edges={(0, 1), (1, 2)},
                     patch_mask=np.array([True, False]),
                     p_s=0.5, p_t=0.5, patch_length=2)

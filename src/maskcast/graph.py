@@ -105,11 +105,10 @@ def normalize_dense(adjacency):
 def adaptive_adjacency(node_embeddings):
     """Learned row-stochastic adjacency from node embeddings (differentiable).
 
-    row_softmax(relu(E E^T)); accepts a Tensor and returns a Tensor so
-    gradients flow into the embeddings.
+    row_softmax(relu(E E^T)); takes the embedding Tensor and returns a Tensor
+    so gradients flow into the embeddings.
     """
-    e = node_embeddings if isinstance(node_embeddings, ad.Tensor) else ad.Tensor(node_embeddings)
-    scores = ad.relu(ad.matmul(e, ad.transpose(e, (1, 0))))
+    scores = ad.relu(ad.matmul(node_embeddings, ad.transpose(node_embeddings, (1, 0))))
     return ad.row_softmax(scores)
 
 

@@ -69,11 +69,10 @@ class ModelState:
 
     PRETRAIN_ONLY = ("spatial_decoder.w", "temporal_decoder.w", "temporal_decoder.b", "mask_token")
 
-    def save(self, checkpoint_path, manifest_path=None):
+    def save(self, checkpoint_path, manifest_path):
         ad.save_checkpoint(self.params, checkpoint_path)
-        if manifest_path is not None:
-            with open(manifest_path, "w") as fh:
-                json.dump(asdict(self.config), fh, indent=2)
+        with open(manifest_path, "w") as fh:
+            json.dump(asdict(self.config), fh, indent=2)
 
     @classmethod
     def load(cls, checkpoint_path, manifest_path):
@@ -165,8 +164,7 @@ def mask_sampling_graph(g, state):
 
 
 def forecast(x, g, state):
-    """Full-visibility forward pass: embed, encode, predict."""
-    xt = x if isinstance(x, Tensor) else Tensor(x)
+    """Full-visibility forward pass on a window array: embed, encode, predict."""
     adjacency = model_adjacency(g, state)
-    s = encoder_forward(embed_input(xt, state.params), adjacency, state.params)
+    s = encoder_forward(embed_input(Tensor(x), state.params), adjacency, state.params)
     return predictor(s, state.config, state.params)

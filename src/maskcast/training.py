@@ -2,7 +2,9 @@
 fine-tuning, then the test report. Also hosts the loss functions.
 """
 
-from dataclasses import dataclass, asdict
+import numbers
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +22,19 @@ from .model import (EncoderConfig, ModelState, embed_input, encoder_forward,
 from .seeding import stream
 
 VARIANTS = ("full", "NT", "NS", "U", "baseline")
+
+
+class ConfigError(ValueError):
+    """A configuration value of the wrong type or out of range."""
+
+
+# the values a RunConfig field of each annotated type accepts; a bool is neither a count nor a rate
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+# smallest allowed value of each integer field that counts something
+_MINIMUM = {"patch_length": 1, "walk_length": 2, "pretrain_epochs": 0, "finetune_epochs": 0,
+            "batch_size": 1, "seed": 0, "history": 1, "horizon": 1, "input_dim": 1,
+            "hidden_dim": 1, "node_embed_dim": 1, "topk": 1}
+_POSITIVE = ("walk_p", "walk_q", "lr")  # float fields that must be above zero
 
 
 @dataclass
@@ -50,45 +65,42 @@ class RunConfig:
     topk: int = 8
 
     def validate(self):
+        """Check every field's type and range; a bad value raises ConfigError."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _ACCEPTS[f.type]) or (isinstance(value, bool) and f.type is not bool):
+                raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+            if f.type is float and not abs(value) <= sys.float_info.max:  # NaN compares false
+                raise ConfigError(f"{f.name} must be a finite float, got {value!r}")
+            if f.name in _MINIMUM and value < _MINIMUM[f.name]:
+                raise ConfigError(f"{f.name} must be at least {_MINIMUM[f.name]}, got {value!r}")
+            if f.name in _POSITIVE and value <= 0:
+                raise ConfigError(f"{f.name} must be positive, got {value!r}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if not (0 <= self.p_s <= 1):
-            raise ValueError(f"p_s must be in [0, 1], got {self.p_s}")
+            raise ConfigError(f"p_s must be in [0, 1], got {self.p_s}")
         if not (0 <= self.p_t < 1):
-            raise ValueError(f"p_t must be in [0, 1), got {self.p_t}")
+            raise ConfigError(f"p_t must be in [0, 1), got {self.p_t}")
         if self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-        if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
-            raise ValueError("epoch counts must be nonnegative")
+            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
         if self.history % self.patch_length != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"history {self.history} must be divisible by patch_length {self.patch_length}"
             )
-        if self.walk_p <= 0 or self.walk_q <= 0:
-            raise ValueError("walk parameters must be positive")
         if self.graph_mode not in ("predefined", "adaptive"):
-            raise ValueError(f"unknown graph_mode {self.graph_mode!r}")
+            raise ConfigError(f"unknown graph_mode {self.graph_mode!r}")
         if self.lr_decay not in ("none", "cosine"):
-            raise ValueError(f"unknown lr_decay {self.lr_decay!r}")
+            raise ConfigError(f"unknown lr_decay {self.lr_decay!r}")
         return self
 
     def encoder_config(self, n_nodes):
-        return EncoderConfig(
-            hidden_dim=self.hidden_dim,
-            input_dim=self.input_dim,
-            history=self.history,
-            horizon=self.horizon,
-            n_nodes=n_nodes,
-            graph_mode=self.graph_mode,
-            node_embed_dim=self.node_embed_dim,
-            topk=self.topk,
-        )
+        """The model's shape: every EncoderConfig field is a RunConfig field, except ``n_nodes``."""
+        shared = {f.name: getattr(self, f.name) for f in fields(EncoderConfig) if f.name != "n_nodes"}
+        return EncoderConfig(n_nodes=n_nodes, **shared)
 
     def walk_config(self):
         return WalkConfig(p=self.walk_p, q=self.walk_q, walk_length=self.walk_length)
-
-    def to_dict(self):
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +108,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def loss_pred(y_hat, y):
-    """Mean absolute error over every element."""
-    yt = y if isinstance(y, Tensor) else Tensor(y)
+    """Mean absolute error over every element of the target array ``y``."""
+    yt = Tensor(y)
     if y_hat.shape != yt.shape:
         raise ad.ShapeError(f"loss_pred: shapes {tuple(y_hat.shape)} vs {tuple(yt.shape)}")
     return ad.tmean(ad.tabs(ad.sub(y_hat, yt)))
@@ -132,8 +144,9 @@ def loss_spatial(a_hat, masked_edges, negative_edges=None):
 
 
 def loss_temporal(x_hat, x, patch_mask):
-    """Mean absolute error over entries belonging to masked patches only."""
-    xt = x if isinstance(x, Tensor) else Tensor(x)
+    """Mean absolute error against the window array ``x``, over entries
+    belonging to masked patches only."""
+    xt = Tensor(x)
     if x_hat.shape != xt.shape:
         raise ad.ShapeError(f"loss_temporal: shapes {tuple(x_hat.shape)} vs {tuple(xt.shape)}")
     mask = np.asarray(patch_mask, dtype=bool)
@@ -211,8 +224,7 @@ def sample_negative_edges(mask_graph, count, rng):
 def pretrain_forward(x_batch, g, state, cfg, plan, negative_edges=None, mask_graph=None):
     """Masked forward pass; returns (total, spatial, temporal) loss tensors."""
     params = state.params
-    x = Tensor(x_batch)
-    x_emb = embed_input(x, params)
+    x_emb = embed_input(Tensor(x_batch), params)
     if plan.patch_mask.any():
         x_emb = apply_temporal_mask(x_emb, plan.patch_mask, params["mask_token"])
     # the plan's edges were drawn from mask_graph, so they are removed from it
@@ -227,7 +239,7 @@ def pretrain_forward(x_batch, g, state, cfg, plan, negative_edges=None, mask_gra
         l_a = Tensor(0.0)
     if plan.patch_mask.any():
         x_hat = temporal_decoder(s, state.config, params)
-        l_x = loss_temporal(x_hat, x, plan.patch_mask)
+        l_x = loss_temporal(x_hat, x_batch, plan.patch_mask)
     else:
         l_x = Tensor(0.0)
     return loss_pretrain(l_a, l_x, cfg.lam), l_a, l_x
@@ -281,12 +293,15 @@ class RunResult:
     pretrain_loss_totals: dict  # accumulated spatial/temporal
 
 
-def predict_windows(windows, g, state, batch_size=64):
+PREDICT_BATCH = 64  # windows per forecast call at inference
+
+
+def predict_windows(windows, g, state):
     """Forecasts for a list of window pairs, stacked to [W, F, N, C]."""
     xs, _ = stack_windows(windows)
     outs = []
-    for lo in range(0, len(xs), batch_size):
-        outs.append(forecast(xs[lo:lo + batch_size], g, state).data)
+    for lo in range(0, len(xs), PREDICT_BATCH):
+        outs.append(forecast(xs[lo:lo + PREDICT_BATCH], g, state).data)
     return np.concatenate(outs, axis=0)
 
 

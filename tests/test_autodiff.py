@@ -175,7 +175,7 @@ class TestParameterTree:
         params = ParameterTree()
         for name in ("z", "a", "m"):
             params.add(name, np.zeros(1))
-        assert params.paths() == ["z", "a", "m"]
+        assert [path for path, _ in params.items()] == ["z", "a", "m"]
 
 
 class TestCheckpoint:

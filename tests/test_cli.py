@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -60,7 +61,7 @@ class TestLoadConfig:
     def test_dump_load_round_trip(self, tmp_path):
         cfg = load_config(None, ["p_s=0.6", "seed=7"])
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert load_config(str(path)) == cfg
 
 
@@ -159,6 +160,39 @@ class TestExitCodes:
     def test_gradcheck_exits_zero(self, capsys):
         assert main(["gradcheck"]) == 0
         assert "overall max relative error" in capsys.readouterr().out
+
+
+class TestBadConfig:
+    """A config value of the wrong type or range, or a bad grid, is a config
+    error (exit 1) raised before any data is read or any run starts."""
+
+    @pytest.mark.parametrize("override", [
+        "hidden_dim=2.5", "pretrain_epochs=2.5", "hidden_dim=0", "patch_length=0",
+        "batch_size=0", "history=0", "walk_length=1", "topk=0",
+        "negative_sampling=yes", "seed=1.5", "lr=-1",
+    ])
+    def test_bad_override(self, data_dir, tmp_path, capsys, override):
+        argv = ["train", "--data", data_dir, "--out", str(tmp_path / "run")] + FAST
+        assert main(argv + ["--set", override]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, grid, message", [
+        ("sweep", ["--ps-grid", "0.2,1.5"], "p_s must be in [0, 1], got 1.5"),
+        ("sweep", ["--pt-grid", "0.2,x"], "--pt-grid must be a comma-separated list"),
+        ("sweep", ["--seeds", "0,-1"], "seed must be at least 0, got -1"),
+        ("ablate", ["--seeds", "0,1.5"], "--seeds must be a comma-separated list"),
+        ("ablate", ["--seeds", "0,-1"], "seed must be at least 0, got -1"),
+    ])
+    def test_bad_grid_rejected_before_any_run(self, data_dir, tmp_path, capsys, monkeypatch,
+                                             command, grid, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the grid was checked")
+
+        monkeypatch.setattr("maskcast.training.run_two_stage", no_run)
+        argv = [command, "--data", data_dir, "--out", str(tmp_path / "out")] + grid + FAST
+        assert main(argv) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBadInput:

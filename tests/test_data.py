@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ class TestZScore:
         # first 6 of 10 rows train: values alternate 0, 10 -> mean 5, std 5
         values = np.tile([[0.0], [10.0]], (5, 1))[:, :, None].reshape(10, 1, 1)
         ds = self._dataset(values)
-        normalized, (mean, std) = zscore_fit_apply(ds, train_fraction=0.6)
+        normalized, (mean, std) = zscore_fit_apply(ds)
         assert mean[0] == 5.0 and std[0] == 5.0
         np.testing.assert_array_equal(np.unique(normalized.values), [-1.0, 1.0])
 
@@ -140,7 +142,7 @@ class TestCsvIO:
         rng = np.random.default_rng(0)
         g = Graph(n_nodes=170, edges=[(0, 1, 1.0)])
         ds = Dataset(values=rng.normal(size=(5, 170, 1)), period=300.0, graph=g)
-        paths = dataset_paths(tmp_path, prefix="wide")
+        paths = dataset_paths(tmp_path)
         save_csv(ds, *paths)
         loaded = load_csv(*paths)
         assert (loaded.values == ds.values).all()
@@ -157,6 +159,28 @@ class TestCsvIO:
         with open(meta, "w") as fh:
             json.dump(payload, fh)
         with pytest.raises(ValueError, match="columns"):
+            load_csv(*paths)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_nodes", "4", "n_nodes must be a positive integer, got '4'"),
+        ("n_nodes", True, "n_nodes must be a positive integer, got True"),
+        ("n_nodes", 0, "n_nodes must be a positive integer, got 0"),
+        ("n_features", 1.0, "n_features must be a positive integer, got 1.0"),
+        ("period_seconds", "300", "period_seconds must be a positive finite number, got '300'"),
+        ("period_seconds", True, "period_seconds must be a positive finite number, got True"),
+        ("period_seconds", -300.0, "period_seconds must be a positive finite number"),
+        ("period_seconds", float("inf"), "period_seconds must be a positive finite number"),
+    ])
+    def test_meta_value_type_checked(self, tmp_path, key, value, message):
+        import json
+        paths = dataset_paths(tmp_path)
+        save_csv(synthesize(4, 250, seed=0), *paths)
+        with open(paths[2]) as fh:
+            payload = json.load(fh)
+        payload[key] = value
+        with open(paths[2], "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_csv(*paths)
 
     def test_non_numeric_cell_located(self, tmp_path):

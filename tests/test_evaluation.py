@@ -65,14 +65,6 @@ class TestMetricsHandExamples:
             report["overall"]["mae"],
             np.mean([s["mae"] for s in report["per_step"]]), rtol=1e-15)
 
-    def test_three_dim_input_treated_as_single_window(self):
-        rng = np.random.default_rng(1)
-        y = rng.uniform(1, 2, size=(3, 2, 1))
-        y_hat = y + 0.5
-        a = metrics(y_hat, y)
-        b = metrics(y_hat[None], y[None])
-        assert a == b
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             metrics(np.zeros((2, 1, 1, 1)), np.zeros((3, 1, 1, 1)))

@@ -67,18 +67,18 @@ class TestNormalizeAdjacency:
 
 class TestAdaptiveAdjacency:
     def test_zero_embeddings_uniform(self):
-        a = adaptive_adjacency(np.zeros((4, 3)))
+        a = adaptive_adjacency(Tensor(np.zeros((4, 3))))
         np.testing.assert_allclose(a.data, 0.25)
 
     def test_two_node_hand_example(self):
-        a = adaptive_adjacency(np.array([[1.0], [-1.0]]))
+        a = adaptive_adjacency(Tensor(np.array([[1.0], [-1.0]])))
         e = np.e
         expected = [[e / (e + 1), 1 / (e + 1)], [1 / (e + 1), e / (e + 1)]]
         np.testing.assert_allclose(a.data, expected, rtol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
-        a = adaptive_adjacency(rng.normal(size=(7, 4)))
+        a = adaptive_adjacency(Tensor(rng.normal(size=(7, 4))))
         np.testing.assert_allclose(a.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_differentiable(self):
