@@ -2,10 +2,13 @@
 
 Everything is float64. Each forward op records a backward closure on the
 result tensor; ``backward()`` topologically sorts the recorded graph and
-propagates gradients, then frees the tape. A kernel output requires grad
-when any of its inputs does; a kernel on constants only records no tape,
-and no gradient is computed for a constant operand. Small by design: the
-models built on top are desk-scale.
+propagates gradients, freeing each node's closure, parents and gradient as
+soon as its closure has run, so only leaves keep ``.grad``. A kernel output
+requires grad when any of its inputs does; a kernel on constants only
+records no tape, and no gradient is computed for a constant operand. A
+forward pass on constant views of the parameters therefore keeps nothing
+for a backward pass. Small by design: the models built on top are
+desk-scale.
 """
 
 import json
@@ -25,7 +28,7 @@ class Tensor:
     """Dense float64 array plus an optional gradient slot.
 
     ``_parents`` / ``_backward`` form the tape; they are populated by the
-    kernels below and cleared after ``backward()``.
+    kernels below and cleared node by node during ``backward()``.
     """
 
     def __init__(self, data, requires_grad=False):
@@ -44,7 +47,10 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def item(self):
         if self.data.size != 1:
@@ -59,8 +65,12 @@ def _accumulate(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # the bits and memory layout of zeros_like(t.data) + g, without the
+        # zero fill; g + 0.0 alone would keep a transposed g's layout, which
+        # changes the summation order of a later _unbroadcast
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _record(out, parents, backward):
@@ -166,11 +176,17 @@ def matmul(a, b):
 
 
 def sigmoid(a):
-    y = 1.0 / (1.0 + np.exp(-a.data))
+    # 1 / (1 + exp(-x)), computed in one buffer
+    y = np.negative(a.data, out=np.empty_like(a.data))
+    np.exp(y, out=y)
+    y += 1.0
+    np.divide(1.0, y, out=y)
     out = Tensor(y)
 
     def backward(g):
-        _accumulate(a, g * y * (1.0 - y))
+        dy = g * y
+        dy *= 1.0 - y
+        _accumulate(a, dy)
 
     return _record(out, (a,), backward)
 
@@ -345,6 +361,10 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
     and the weight gradients, from the cached A x, A h and A (r h), are one
     GEMM each. A learned adjacency adds one [N, N] product per A product
     and step.
+
+    The per-step activations are cached only when some input requires grad;
+    a forward-only call writes every step into the same one-step buffers,
+    which leaves its output bitwise unchanged.
     """
     x, a = x_emb.data, adjacency.data
     if x.ndim < 3 or a.shape != (x.shape[-2],) * 2:
@@ -356,29 +376,33 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
     nodes = x.shape[:-3] + x.shape[-2:-1]  # [..., N], the rows of every per-step array
     w_ur = np.concatenate([wu.data, wr.data], axis=1)
     b_ur = np.concatenate([bu.data, br.data])
-    # per-step activations, stacked on a leading time axis
+    # per-step activations, stacked on a leading time axis of H steps when
+    # backward will read them and of one reused step otherwise
+    taped = any(t.requires_grad for t in (x_emb, adjacency, wu, bu, wr, br, wc, bc))
     x_steps = np.moveaxis(x, -3, 0)
     ax = np.matmul(a, x_steps)
-    hs = np.empty((steps,) + nodes + (d,))
+    hs = np.empty((steps if taped else 1,) + nodes + (d,))
     ahs, arhs, us, rs, cs = (np.empty_like(hs) for _ in range(5))
     conv = np.empty(nodes + (cx + d,))  # [A x_t, A h], then [A x_t, A (r h)]
     h = np.zeros(nodes + (d,))
     for t in range(steps):
-        hs[t] = h
+        k = t if taped else 0
+        hs[k] = h
         conv[..., :cx] = ax[t]
-        conv[..., cx:] = np.matmul(a, h, out=ahs[t])
+        conv[..., cx:] = np.matmul(a, h, out=ahs[k])
         e = np.matmul(conv, w_ur)
         e += b_ur
         np.exp(np.negative(e, out=e), out=e)
         e += 1.0
-        u = np.divide(1.0, e[..., :d], out=us[t])
-        r = np.divide(1.0, e[..., d:], out=rs[t])
-        conv[..., cx:] = np.matmul(a, r * h, out=arhs[t])
-        c = np.tanh(np.matmul(conv, wc.data) + bc.data, out=cs[t])
+        u = np.divide(1.0, e[..., :d], out=us[k])
+        r = np.divide(1.0, e[..., d:], out=rs[k])
+        conv[..., cx:] = np.matmul(a, r * h, out=arhs[k])
+        c = np.tanh(np.matmul(conv, wc.data) + bc.data, out=cs[k])
         h = u * h + (1.0 - u) * c
     out = Tensor(h)
 
     def backward(g):
+        nonlocal hs, us, rs, cs
         a_t = a.T
         w_ur_h = w_ur[cx:].T  # [2D, D]
         wc_h = wc.data[cx:].T
@@ -404,6 +428,8 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
             if da is not None:
                 da += np.tensordot(darh, r * h_prev, axes=axes)
                 da += np.tensordot(dah, h_prev, axes=axes)
+        # the reverse loop was the last reader of these caches and of its views into them
+        hs = us = rs = cs = h_prev = u = r = c = None
         flat = dpre.reshape(-1, 3 * d)
         if x_emb.requires_grad or da is not None:
             dax = np.matmul(flat, np.concatenate([w_ur[:cx], wc.data[:cx]], axis=1).T).reshape(ax.shape)
@@ -433,11 +459,14 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
 # ---------------------------------------------------------------------------
 
 def backward(loss):
-    """Propagate d(loss)/d(t) into ``t.grad`` for every tensor on the tape.
+    """Propagate d(loss)/d(t) into ``t.grad`` for every leaf on the tape.
 
-    ``loss`` must be scalar. The tape is freed afterwards; intermediate
-    gradients survive on the tensors until the next forward pass overwrites
-    or re-zeroes them.
+    ``loss`` must be scalar. Nodes are visited in reverse topological order,
+    and each recorded node is released right after its closure has run: its
+    ``_backward`` and ``_parents`` are cleared and its ``grad`` is set back
+    to None. The activations a closure captured and the gradients flowing
+    through interior nodes are therefore freed as the walk proceeds. Leaves,
+    the tensors no kernel produced (parameters and inputs), keep ``.grad``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {tuple(loss.shape)}")
@@ -460,12 +489,13 @@ def backward(loss):
             stack.pop()
 
     _accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward(node.grad)
-    for node in order:
-        node._parents = ()
-        node._backward = None
+            node._backward = None
+            node._parents = ()
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ class Graph:
     """Undirected weighted graph with a dense adjacency matrix.
 
     Invariants: adjacency symmetric, zero diagonal, positive entries exactly
-    where edges exist, no duplicate undirected edges.
+    where edges exist, no duplicate undirected edges. The neighbours of node
+    u, as a CSR table built once, are ``nbr_index[nbr_ptr[u]:nbr_ptr[u + 1]]``
+    with weights ``nbr_weight`` over the same range, in ascending order.
     """
 
     n_nodes: int
@@ -27,6 +29,9 @@ class Graph:
                 a[u, v] = w
                 a[v, u] = w
             self.adjacency = a
+        rows, self.nbr_index = np.nonzero(self.adjacency)
+        self.nbr_ptr = np.searchsorted(rows, np.arange(self.n_nodes + 1))
+        self.nbr_weight = self.adjacency[rows, self.nbr_index]
 
     @property
     def n_edges(self):
@@ -34,12 +39,6 @@ class Graph:
 
     def edge_set(self):
         return {(u, v) for u, v, _ in self.edges}
-
-    def neighbors(self, node):
-        """(neighbor indices, weights) arrays for one node."""
-        row = self.adjacency[node]
-        idx = np.nonzero(row)[0]
-        return idx, row[idx]
 
 
 @dataclass
@@ -135,30 +134,39 @@ def biased_random_walk(g, root, cfg, rng):
     First step is drawn by edge weight; later steps from node v (previous
     node t) weight each neighbor x by w(v,x) * alpha with alpha = 1/p when
     x == t, 1 when x adjacent to t, 1/q otherwise. Stops early only at a
-    node with no neighbors.
+    node with no neighbors. Each step consumes one ``rng.random()`` and
+    picks exactly what ``rng.choice(nbrs, p=probs)`` would.
     """
-    nbrs, weights = g.neighbors(root)
-    if len(nbrs) == 0:
+    lo, hi = g.nbr_ptr[root], g.nbr_ptr[root + 1]
+    if lo == hi:
         raise ValueError(f"walk root {root} has no neighbors")
 
-    path = [root]
-    nxt = int(rng.choice(nbrs, p=weights / weights.sum()))
-    path.append(nxt)
+    weights = g.nbr_weight[lo:hi]
+    path = [root, _draw(g.nbr_index[lo:hi], weights / weights.sum(), rng)]
     while len(path) < cfg.walk_length:
         cur = path[-1]
         prev = path[-2]
-        nbrs, weights = g.neighbors(cur)
-        if len(nbrs) == 0:
+        lo, hi = g.nbr_ptr[cur], g.nbr_ptr[cur + 1]
+        if lo == hi:
             break
+        nbrs = g.nbr_index[lo:hi]
         alpha = np.where(
             nbrs == prev,
             1.0 / cfg.p,
             np.where(g.adjacency[prev, nbrs] > 0, 1.0, 1.0 / cfg.q),
         )
-        probs = weights * alpha
+        probs = g.nbr_weight[lo:hi] * alpha
         probs /= probs.sum()
-        path.append(int(rng.choice(nbrs, p=probs)))
+        path.append(_draw(nbrs, probs, rng))
     return path
+
+
+def _draw(items, probs, rng):
+    # Generator.choice(items, p=probs)'s own inverse-CDF draw, without its
+    # per-call argument checks
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(items[cdf.searchsorted(rng.random(), side="right")])
 
 
 # ---------------------------------------------------------------------------

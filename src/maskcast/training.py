@@ -297,11 +297,16 @@ PREDICT_BATCH = 64  # windows per forecast call at inference
 
 
 def predict_windows(windows, g, state):
-    """Forecasts for a list of window pairs, stacked to [W, F, N, C]."""
+    """Forecasts for a list of window pairs, stacked to [W, F, N, C].
+
+    The forward runs on constant views of the parameters, so it records no
+    tape and leaves every ``.grad`` as it was.
+    """
     xs, _ = stack_windows(windows)
+    frozen = ModelState(state.config, {p: Tensor(t.data) for p, t in state.params.items()})
     outs = []
     for lo in range(0, len(xs), PREDICT_BATCH):
-        outs.append(forecast(xs[lo:lo + PREDICT_BATCH], g, state).data)
+        outs.append(forecast(xs[lo:lo + PREDICT_BATCH], g, frozen).data)
     return np.concatenate(outs, axis=0)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,16 @@ class TestKernelForward:
 
     def test_sigmoid_midpoint(self):
         assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+
+    def test_sigmoid_bits_match_closed_form(self):
+        x = np.random.default_rng(0).normal(scale=20.0, size=(6, 7))
+        g = np.random.default_rng(1).normal(size=(6, 7))
+        t = Tensor(x, requires_grad=True)
+        y = 1.0 / (1.0 + np.exp(-x))
+        out = ad.sigmoid(t)
+        backward(ad.tsum(ad.mul(out, Tensor(g))))
+        assert out.data.tobytes() == y.tobytes()
+        assert t.grad.tobytes() == (g * y * (1.0 - y)).tobytes()
 
     def test_row_softmax_uniform(self):
         out = ad.row_softmax(Tensor([0.0, 0.0, 0.0]))
@@ -78,9 +90,45 @@ class TestBackward:
 
     def test_tape_freed_after_backward(self):
         x = Tensor([1.0], requires_grad=True)
-        y = ad.tsum(ad.mul(x, x))
+        sq = ad.mul(x, x)
+        y = ad.tsum(sq)
         backward(y)
-        assert y._backward is None and y._parents == ()
+        for node in (y, sq):
+            assert node._backward is None and node._parents == () and node.grad is None
+        assert x.grad.tolist() == [2.0]
+
+    def test_transposed_first_gradient_lands_in_parameter_layout(self):
+        # transpose's backward hands x a transposed view as its first gradient;
+        # x.grad must still be C-contiguous and carry zeros_like(x) + g's bits,
+        # including +0.0 where g holds -0.0
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = rng.normal(size=(3, 4))
+        w[0, 0] = -0.0
+        backward(ad.tsum(ad.mul(ad.transpose(x, (1, 0)), Tensor(w))))
+        assert x.grad.flags.c_contiguous
+        assert x.grad.tobytes() == (np.zeros((4, 3)) + w.T).tobytes()
+
+    def test_backward_peak_memory_does_not_grow_with_depth(self):
+        size = 1 << 15  # 256 KiB of float64 per activation and gradient
+
+        def backward_peak(depth):
+            y = x = Tensor(np.ones(size), requires_grad=True)
+            for _ in range(depth):
+                y = ad.scale(y, 1.0)
+            loss = ad.tsum(y)
+            del y
+            tracemalloc.start()
+            try:
+                backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert x.grad.tolist() == [1.0] * size
+            return peak
+
+        # a backward that kept every interior gradient would hold 28 more
+        assert backward_peak(32) - backward_peak(4) < 8 * size
 
 
 class TestFiniteDiffCheck:

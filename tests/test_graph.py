@@ -127,6 +127,26 @@ class TestSparsifyTopk:
             sparsify_topk(np.ones((3, 3)), 3)
 
 
+def reference_walk(g, root, cfg, rng):
+    """The second-order walk drawn with ``Generator.choice`` from dense adjacency rows."""
+
+    def neighbors(node):
+        idx = np.nonzero(g.adjacency[node])[0]
+        return idx, g.adjacency[node, idx]
+
+    nbrs, weights = neighbors(root)
+    path = [root, int(rng.choice(nbrs, p=weights / weights.sum()))]
+    while len(path) < cfg.walk_length:
+        prev, cur = path[-2], path[-1]
+        nbrs, weights = neighbors(cur)
+        alpha = np.where(nbrs == prev, 1.0 / cfg.p,
+                         np.where(g.adjacency[prev, nbrs] > 0, 1.0, 1.0 / cfg.q))
+        probs = weights * alpha
+        probs /= probs.sum()
+        path.append(int(rng.choice(nbrs, p=probs)))
+    return path
+
+
 class TestBiasedRandomWalk:
     def test_unbiased_cycle_uniform(self, cycle_graph):
         # p = q = 1: the two neighbors are equally likely at every step
@@ -163,6 +183,16 @@ class TestBiasedRandomWalk:
             path = biased_random_walk(g, root, cfg, rng)
             for a, b in zip(path, path[1:]):
                 assert (min(a, b), max(a, b)) in edge_set
+
+    @pytest.mark.parametrize("p,q,walk_length", [(1.0, 1.0, 8), (0.5, 2.0, 12), (4.0, 0.25, 5)])
+    def test_same_walks_and_stream_as_generator_choice(self, p, q, walk_length):
+        cfg = WalkConfig(p=p, q=q, walk_length=walk_length)
+        for g in (random_graph(30, 80, seed=5), random_graph(12, 20, seed=6)):
+            rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+            for root in range(g.n_nodes):
+                if g.adjacency[root].any():
+                    assert biased_random_walk(g, root, cfg, rng) == reference_walk(g, root, cfg, ref_rng)
+            assert rng.random() == ref_rng.random()
 
     def test_seeded_walk_reproducible(self, cycle_graph):
         cfg = WalkConfig(p=0.7, q=1.3, walk_length=10)

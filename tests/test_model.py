@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,26 @@ class TestGraphGRUKernel:
         grads, _ = self.check(params, x, getattr(self, adjacency_of), weight)
         assert grads["x_emb"].shape == x.shape
         assert (np.abs(grads["node_embeddings"]).max() > 0) == (adjacency_of == "learned")
+
+    def test_forward_only_output_matches_taped_with_lower_peak(self):
+        # constant inputs keep one step of activations instead of H, bit for bit
+        state = make_state(n_nodes=5, hidden_dim=3, history=12, seed=11)
+        x = np.random.default_rng(12).normal(size=(16, 12, 5, 3))
+        adjacency = self.constant(state.params)
+
+        def run(params):
+            tracemalloc.start()
+            try:
+                out = encoder_forward(Tensor(x), adjacency, params)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        taped, taped_peak = run(state.params)
+        plain, plain_peak = run({p: Tensor(t.data) for p, t in state.params.items()})
+        assert taped.requires_grad and not plain.requires_grad and plain._backward is None
+        assert plain.data.tobytes() == taped.data.tobytes()
+        assert plain_peak < taped_peak / 2  # the taped call caches all 12 steps
 
     def test_shape_mismatch_names_kernel(self):
         state = make_state(n_nodes=4, hidden_dim=3)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maskcast import autodiff as ad
+from maskcast import training
 from maskcast.autodiff import Adam, Tensor
 from maskcast.data import prepare_splits, stack_windows, synthesize
 from maskcast.model import ModelState
@@ -318,6 +319,30 @@ class TestRunTwoStage:
         cfg = small_cfg(graph_mode="adaptive", topk=3)
         result = run_two_stage(cfg, splits, g)
         assert np.isfinite(result.report["overall"]["mae"])
+
+
+class TestPredictWindows:
+    def test_forward_records_no_tape_and_leaves_grads(self, tiny, monkeypatch):
+        splits, g = tiny
+        state = ModelState.initialize(small_cfg().encoder_config(g.n_nodes), stream(0, "init"))
+        for _, t in state.params.items():
+            t.grad = np.full_like(t.data, 7.0)
+        grads = {p: t.grad for p, t in state.params.items()}
+        forecast, outputs = training.forecast, []
+
+        def recording_forecast(*args):
+            outputs.append(forecast(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(training, "forecast", recording_forecast)
+        preds = training.predict_windows(splits.val, g, state)
+        assert outputs and all(not o.requires_grad and o._backward is None for o in outputs)
+        for path, t in state.params.items():
+            assert t.grad is grads[path] and (t.grad == 7.0).all()
+        xs, _ = stack_windows(splits.val)
+        want = np.concatenate([forecast(xs[lo:lo + training.PREDICT_BATCH], g, state).data
+                               for lo in range(0, len(xs), training.PREDICT_BATCH)])
+        assert preds.tobytes() == want.tobytes()
 
 
 class TestDivergenceGuard:
