@@ -60,9 +60,9 @@ def graph_from_adjacency(adjacency):
     """Build a Graph from a symmetric nonnegative matrix (diagonal ignored)."""
     a = np.asarray(adjacency, dtype=np.float64).copy()
     np.fill_diagonal(a, 0.0)
-    n = a.shape[0]
-    edges = [(u, v, a[u, v]) for u in range(n) for v in range(u + 1, n) if a[u, v] > 0]
-    return Graph(n_nodes=n, edges=edges, adjacency=a)
+    rows, cols = np.nonzero(np.triu(a > 0, 1))  # row-major: (u, v) ascending, u < v
+    edges = list(zip(rows.tolist(), cols.tolist(), a[rows, cols]))
+    return Graph(n_nodes=a.shape[0], edges=edges, adjacency=a)
 
 
 def gaussian_threshold_graph(distances, sigma=None, epsilon=0.5):
@@ -121,9 +121,9 @@ def sparsify_topk(dense, k):
         raise ValueError(f"k must be < n_nodes ({n}), got {k}")
     np.fill_diagonal(a, -np.inf)
     kept = np.zeros_like(a)
-    for u in range(n):
-        top = np.argpartition(a[u], -k)[-k:]
-        kept[u, top] = np.maximum(a[u, top], 0.0)
+    rows = np.arange(n)[:, None]
+    top = np.argpartition(a, -k, axis=1)[:, -k:]
+    kept[rows, top] = np.maximum(a[rows, top], 0.0)
     sym = np.maximum(kept, kept.T)
     return graph_from_adjacency(sym)
 

@@ -201,6 +201,36 @@ class TestAdam:
         with pytest.raises(ValueError, match="weights.w1"):
             opt.step()
 
+    def test_updates_in_place_with_the_textbook_bits(self):
+        # the step updates m, v and data in place and matches the
+        # allocating formula bit for bit, over steps and a frozen parameter
+        rng = np.random.default_rng(8)
+        params = ParameterTree()
+        for name, shape in (("w", (3, 4)), ("b", (4,)), ("frozen", (2,))):
+            params.add(name, rng.normal(size=shape))
+        opt = Adam(params, lr=0.03, frozen=("frozen",))
+        want = {p: t.data.copy() for p, t in params.items()}
+        m = {p: np.zeros_like(v) for p, v in want.items()}
+        v = {p: np.zeros_like(x) for p, x in want.items()}
+        arrays = [(t.data, opt.m[p], opt.v[p]) for p, t in params.items()]
+        for step in range(1, 6):
+            opt.lr = 0.03 / step
+            for p, t in params.items():
+                t.grad = rng.normal(size=t.shape)
+            opt.step()
+            b1t, b2t = 1.0 - ad.ADAM_BETA1 ** step, 1.0 - ad.ADAM_BETA2 ** step
+            for p in ("w", "b"):
+                g = params[p].grad
+                m[p] = ad.ADAM_BETA1 * m[p] + (1.0 - ad.ADAM_BETA1) * g
+                v[p] = ad.ADAM_BETA2 * v[p] + (1.0 - ad.ADAM_BETA2) * g * g
+                want[p] = want[p] - opt.lr * (m[p] / b1t) / (np.sqrt(v[p] / b2t) + ad.ADAM_EPS)
+            for (data, mp, vp), (p, t) in zip(arrays, params.items()):
+                assert t.data is data and opt.m[p] is mp and opt.v[p] is vp, p
+            for p, t in params.items():
+                assert t.data.tobytes() == want[p].tobytes(), p
+                assert opt.m[p].tobytes() == m[p].tobytes(), p
+                assert opt.v[p].tobytes() == v[p].tobytes(), p
+
     def test_moment_state_persists(self):
         params = ParameterTree()
         x = params.add("x", np.array([0.0]))

@@ -5,7 +5,7 @@ from maskcast import autodiff as ad
 from maskcast.autodiff import ParameterTree, Tensor, finite_diff_check
 from maskcast.graph import (Graph, WalkConfig, adaptive_adjacency,
                             biased_random_walk, gaussian_threshold_graph,
-                            load_edge_list, normalize_adjacency, save_edge_list,
+                            graph_from_adjacency, load_edge_list, normalize_adjacency, save_edge_list,
                             sparsify_topk)
 
 from conftest import random_graph
@@ -125,6 +125,52 @@ class TestSparsifyTopk:
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError, match="k must be"):
             sparsify_topk(np.ones((3, 3)), 3)
+
+    def test_same_graph_as_row_loop(self):
+        # random matrices with ties, zeros and negative entries
+        rng = np.random.default_rng(4)
+        for trial in range(60):
+            n = int(rng.integers(2, 12))
+            k = int(rng.integers(1, n))
+            dense = rng.integers(-1, 4, size=(n, n)) / 4.0 if trial % 2 else rng.normal(size=(n, n))
+            g = sparsify_topk(dense, k)
+            want = loop_topk(dense, k)
+            assert g.adjacency.tobytes() == want.adjacency.tobytes()
+            assert_same_edges(g.edges, want.edges)
+
+
+def loop_topk(dense, k):
+    """sparsify_topk by its definition, one row at a time."""
+    a = np.asarray(dense, dtype=np.float64).copy()
+    np.fill_diagonal(a, -np.inf)
+    kept = np.zeros_like(a)
+    for u in range(a.shape[0]):
+        top = np.argpartition(a[u], -k)[-k:]
+        kept[u, top] = np.maximum(a[u, top], 0.0)
+    return graph_from_adjacency(np.maximum(kept, kept.T))
+
+
+def assert_same_edges(got, want):
+    assert [(u, v) for u, v, _ in got] == [(u, v) for u, v, _ in want]
+    assert [(type(u), type(v), type(w)) for u, v, w in got] == [
+        (type(u), type(v), type(w)) for u, v, w in want]
+    assert np.array([w for *_, w in got]).tobytes() == np.array([w for *_, w in want]).tobytes()
+
+
+class TestGraphFromAdjacency:
+    def test_same_edges_as_pair_loop(self):
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n = int(rng.integers(1, 15))
+            a = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.4)
+            a = np.maximum(a, a.T)
+            a[0, 0] = 1.0  # the diagonal is ignored
+            got = graph_from_adjacency(a)
+            clean = a.copy()
+            np.fill_diagonal(clean, 0.0)
+            want = [(u, v, clean[u, v]) for u in range(n) for v in range(u + 1, n) if clean[u, v] > 0]
+            assert_same_edges(got.edges, want)
+            assert got.adjacency.tobytes() == clean.tobytes()
 
 
 def reference_walk(g, root, cfg, rng):

@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -112,8 +115,19 @@ def reference_encoder(x_emb, adjacency, params):
     return h
 
 
+def force_ranges(monkeypatch, count):
+    """Make graph_gru cut any batch into min(count, B) ranges."""
+    monkeypatch.setattr(ad, "_WORKERS", count)
+    monkeypatch.setattr(ad, "_MIN_RANGE_STEP", 1)
+
+
 class TestGraphGRUKernel:
-    """The fused kernel against the primitive-composed reference."""
+    """The fused kernel against the primitive-composed reference, with every
+    batch cut into up to three ranges."""
+
+    @pytest.fixture(autouse=True)
+    def split(self, monkeypatch):
+        force_ranges(monkeypatch, 3)
 
     def run(self, encoder, params, x, adjacency_of, weight):
         x_emb = Tensor(x, requires_grad=True)
@@ -209,6 +223,137 @@ class TestGraphGRUKernel:
         state = make_state(n_nodes=4, hidden_dim=3)
         with pytest.raises(ad.ShapeError, match="graph_gru"):
             encoder_forward(Tensor(np.zeros((4, 4, 3))), Tensor(np.eye(5)), state.params)
+
+
+class TestGraphGRURanges:
+    """Cutting the batch into ranges changes no bit, and small batches stay whole."""
+
+    @staticmethod
+    def run(lead, learned, taped, n=5, c=2, d=3, hist=4):
+        rng = np.random.default_rng(21)
+        params = ad.ParameterTree()
+        for gate in ("update", "reset", "cand"):
+            params.add(f"encoder.{gate}.w", rng.uniform(-0.6, 0.6, size=(c + d, d)))
+            params.add(f"encoder.{gate}.b", rng.uniform(-0.6, 0.6, size=d))
+        params.add("node_embeddings", rng.normal(size=(n, 2)))
+        if not taped:
+            params = {p: Tensor(t.data) for p, t in params.items()}
+        x_emb = Tensor(rng.normal(size=lead + (hist, n, c)), requires_grad=taped)
+        if learned:
+            mask = Tensor(np.ones((n, n)) - np.eye(n)[::-1])
+            adjacency = ad.mul(adaptive_adjacency(params["node_embeddings"]), mask)
+        else:
+            adjacency = Tensor(normalize_adjacency(random_graph(n, 2 * n, seed=3)))
+        out = encoder_forward(x_emb, adjacency, params)
+        if not taped:
+            assert out._backward is None
+            return {"out": out.data}
+        ad.backward(ad.tsum(ad.mul(out, Tensor(rng.uniform(0.5, 1.5, size=out.shape)))))
+        grads = {p: t.grad for p, t in params.items()}
+        assert (grads["node_embeddings"] is not None) == learned
+        return {"out": out.data, "x_emb": x_emb.grad, **grads}
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    @pytest.mark.parametrize("learned", [False, True])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_bits_do_not_depend_on_range_count(self, monkeypatch, lead, learned, taped):
+        self.check_ranges(monkeypatch, lead, learned, taped)
+
+    @pytest.mark.parametrize("learned", [False, True])
+    def test_bits_do_not_depend_on_range_count_at_blas_sizes(self, monkeypatch, learned):
+        # products large enough for BLAS's blocked kernels
+        self.check_ranges(monkeypatch, (5,), learned, True, n=48, c=16, d=16, hist=3)
+
+    def check_ranges(self, monkeypatch, lead, learned, taped, **shape):
+        force_ranges(monkeypatch, 1)
+        want = self.run(lead, learned, taped, **shape)
+        seen = []
+        run_ranges = ad._run_ranges
+
+        def spy(fn, ranges):
+            seen.append(len(ranges))
+            return run_ranges(fn, ranges)
+
+        monkeypatch.setattr(ad, "_run_ranges", spy)
+        batch = int(np.prod(lead))
+        for count in (1, 2, 3):
+            force_ranges(monkeypatch, count)
+            seen.clear()
+            got = self.run(lead, learned, taped, **shape)
+            assert set(seen) == {min(count, batch)}
+            self.assert_same_bits(got, want)
+
+    def test_more_ranges_than_cores_under_fast_switching(self, monkeypatch):
+        # six ranges share a fresh pool on however few cores, with the
+        # interpreter switching threads as often as it can
+        force_ranges(monkeypatch, 1)
+        want = self.run((12,), True, True, n=16, c=4, d=8)
+        force_ranges(monkeypatch, 6)
+        monkeypatch.setattr(ad, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                self.assert_same_bits(self.run((12,), True, True, n=16, c=4, d=8), want)
+        finally:
+            sys.setswitchinterval(interval)
+            if ad._pool is not None:
+                ad._pool.shutdown()
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert (got[name] is None) == (value is None), name
+            if value is not None:
+                assert got[name].shape == value.shape, name
+                assert got[name].tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(16, 20, 16), (64, 8, 32)])  # [B, N, D]
+    def test_small_batches_start_no_thread(self, monkeypatch, shape):
+        # the small-graph training shape and criterion 5's, even with many CPUs
+        batch, n, d = shape
+        monkeypatch.setattr(ad, "_WORKERS", 8)
+        monkeypatch.setattr(ad, "_pool", None)
+        assert ad._batch_ranges(batch, n * d) == [(0, batch)]
+        state = make_state(n_nodes=n, hidden_dim=d, history=12)
+        threads = threading.active_count()
+        x_emb = Tensor(np.random.default_rng(0).normal(size=(batch, 12, n, d)), requires_grad=True)
+        ad.backward(ad.tsum(encoder_forward(x_emb, Tensor(np.eye(n)), state.params)))
+        assert threading.active_count() == threads and ad._pool is None
+
+    def test_large_batches_use_every_worker(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        assert ad._batch_ranges(32, 100 * 16) == [(0, 16), (16, 32)]  # learned-graph's shape
+        assert ad._batch_ranges(21, 200 * 16) == [(0, 10), (10, 21)]
+
+    def test_single_window_never_splits(self, monkeypatch):
+        force_ranges(monkeypatch, 8)
+        assert ad._batch_ranges(1, 10 ** 9) == [(0, 1)]
+
+    def test_no_more_ranges_than_cpus(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert ad._WORKERS == cpus
+        for batch in (1, 2, 3, 7, 64, 1000):
+            ranges = ad._batch_ranges(batch, 10 ** 6)
+            assert 1 <= len(ranges) <= cpus
+            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+            assert ranges[-1][1] == batch and all(hi > lo for lo, hi in ranges)
+
+    def test_shape_error_before_any_work_is_sent(self, monkeypatch):
+        class Pool:
+            def submit(self, *args):
+                raise AssertionError("work sent to the pool")
+
+        force_ranges(monkeypatch, 3)
+        monkeypatch.setattr(ad, "_pool", Pool())
+        state = make_state(n_nodes=4, hidden_dim=3)
+        x_emb = Tensor(np.zeros((6, 4, 4, 3)), requires_grad=True)
+        with pytest.raises(ad.ShapeError, match="graph_gru"):
+            encoder_forward(x_emb, Tensor(np.eye(5)), state.params)
+        params = {**dict(state.params.items()), "encoder.cand.b": Tensor(np.zeros(4))}
+        with pytest.raises(ad.ShapeError, match="graph_gru"):
+            encoder_forward(x_emb, Tensor(np.eye(4)), params)
 
 
 class TestSpatialDecoder:
