@@ -54,8 +54,8 @@ def synthesize(n_nodes, n_steps, seed, autoreg=0.85, noise_scale=0.1):
     reaches ``GRAPH_EPSILON``, season(t) has period ``DAY_STEPS`` and a
     per-node amplitude in [0.5, 1.5], and steps are ``STEP_SECONDS`` apart.
     """
-    if n_nodes < 2:
-        raise ValueError(f"need at least 2 nodes, got {n_nodes}")
+    if n_nodes < 3:  # two nodes have one distance, so the kernel width is 0
+        raise ValueError(f"need at least 3 nodes, got {n_nodes}")
     if n_steps < 200:
         raise ValueError(f"need at least 200 steps, got {n_steps}")
     if not (0 < autoreg < 1):

@@ -49,12 +49,6 @@ class WalkConfig:
     q: float = 1.0
     walk_length: int = 8
 
-    def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError(f"walk parameters must be positive, got p={self.p}, q={self.q}")
-        if self.walk_length < 2:
-            raise ValueError(f"walk_length must be >= 2, got {self.walk_length}")
-
 
 def graph_from_adjacency(adjacency):
     """Build a Graph from a symmetric nonnegative matrix (diagonal ignored)."""
@@ -71,15 +65,8 @@ def gaussian_threshold_graph(distances, sigma=None, epsilon=0.5):
     ``sigma`` defaults to the standard deviation of off-diagonal distances.
     """
     d = np.asarray(distances, dtype=np.float64)
-    n = d.shape[0]
-    if d.shape != (n, n) or not np.allclose(d, d.T):
-        raise ValueError("distance matrix must be square and symmetric")
-    if (d < 0).any():
-        raise ValueError("distance matrix must be nonnegative")
-    if not (0 <= epsilon < 1):
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
     if sigma is None:
-        off = d[~np.eye(n, dtype=bool)]
+        off = d[~np.eye(d.shape[0], dtype=bool)]
         sigma = float(off.std())
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -133,22 +120,19 @@ def biased_random_walk(g, root, cfg, rng):
 
     First step is drawn by edge weight; later steps from node v (previous
     node t) weight each neighbor x by w(v,x) * alpha with alpha = 1/p when
-    x == t, 1 when x adjacent to t, 1/q otherwise. Stops early only at a
-    node with no neighbors. Each step consumes one ``rng.random()`` and
-    picks exactly what ``rng.choice(nbrs, p=probs)`` would.
+    x == t, 1 when x adjacent to t, 1/q otherwise. ``root`` must have a
+    neighbor; in a symmetric adjacency every later node then has one (the
+    node it came from), so the path always has ``cfg.walk_length`` nodes.
+    Each step consumes one ``rng.random()`` and picks exactly what
+    ``rng.choice(nbrs, p=probs)`` would.
     """
     lo, hi = g.nbr_ptr[root], g.nbr_ptr[root + 1]
-    if lo == hi:
-        raise ValueError(f"walk root {root} has no neighbors")
-
     weights = g.nbr_weight[lo:hi]
     path = [root, _draw(g.nbr_index[lo:hi], weights / weights.sum(), rng)]
     while len(path) < cfg.walk_length:
         cur = path[-1]
         prev = path[-2]
         lo, hi = g.nbr_ptr[cur], g.nbr_ptr[cur + 1]
-        if lo == hi:
-            break
         nbrs = g.nbr_index[lo:hi]
         alpha = np.where(
             nbrs == prev,

@@ -162,8 +162,6 @@ def loss_temporal(x_hat, x, patch_mask):
 
 def loss_pretrain(l_spatial, l_temporal, lam):
     """lambda * spatial reconstruction loss + temporal reconstruction loss."""
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
     return ad.add(ad.scale(l_spatial, lam), l_temporal)
 
 

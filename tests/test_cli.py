@@ -170,6 +170,7 @@ class TestBadConfig:
         "hidden_dim=2.5", "pretrain_epochs=2.5", "hidden_dim=0", "patch_length=0",
         "batch_size=0", "history=0", "walk_length=1", "topk=0",
         "negative_sampling=yes", "seed=1.5", "lr=-1",
+        "p_s=1.5", "p_s=-0.1", "p_t=1.0", "walk_p=0", "walk_q=0", "lambda=-1",
     ])
     def test_bad_override(self, data_dir, tmp_path, capsys, override):
         argv = ["train", "--data", data_dir, "--out", str(tmp_path / "run")] + FAST

@@ -37,8 +37,9 @@ class TestSynthesize:
         assert ds.graph.n_edges > 0
 
     def test_too_few_nodes_rejected(self):
-        with pytest.raises(ValueError, match="nodes"):
-            synthesize(1, 300, seed=0)
+        for n_nodes in (1, 2):
+            with pytest.raises(ValueError, match=f"need at least 3 nodes, got {n_nodes}"):
+                synthesize(n_nodes, 300, seed=0)
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError, match="steps"):

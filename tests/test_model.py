@@ -488,9 +488,10 @@ class TestModelAdjacency:
         np.testing.assert_array_equal(model_adjacency(g, adaptive).data,
                                       adaptive_adjacency(adaptive.params["node_embeddings"]).data)
 
-    def test_predefined_rejects_edge_outside_graph(self, path_graph):
-        with pytest.raises(ValueError, match="not in the graph"):
-            model_adjacency(path_graph, make_state(n_nodes=3), {(0, 2)})
+    def test_predefined_non_edge_changes_nothing(self, path_graph):
+        # zeroing an entry that is already zero leaves the adjacency as it is
+        got = model_adjacency(path_graph, make_state(n_nodes=3), {(0, 2)})
+        np.testing.assert_array_equal(got.data, normalize_adjacency(path_graph))
 
     def test_mask_sampling_graph(self):
         g, _ = self.walk_masked()

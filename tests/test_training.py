@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maskcast import autodiff as ad
-from maskcast import training
+from maskcast import masking, training
 from maskcast.autodiff import Adam, Tensor
 from maskcast.data import prepare_splits, stack_windows, synthesize
 from maskcast.model import ModelState
@@ -154,10 +154,6 @@ class TestLossPretrain:
         out = loss_pretrain(Tensor(100.0), Tensor(3.0), lam=0.0)
         assert out.item() == 3.0
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError, match="lambda"):
-            loss_pretrain(Tensor(1.0), Tensor(1.0), lam=-1.0)
-
 
 class TestSampleMaskPlan:
     def _plan(self, variant, audit=None):
@@ -194,6 +190,28 @@ class TestSampleMaskPlan:
         plan = self._plan("baseline", audit)
         assert plan.masked_edges == set() and not plan.patch_mask.any()
         assert audit == {}
+
+    @pytest.mark.parametrize("variant", training.VARIANTS)
+    @pytest.mark.parametrize("p_s, p_t, patch_length", [
+        (p_s, p_t, patch_length) for p_s in (0.0, 1.0) for p_t in (0.0, 0.99) for patch_length in (1, 4)
+    ])
+    def test_extreme_accepted_values(self, variant, p_s, p_t, patch_length):
+        # the samplers trust their arguments, so the most extreme values
+        # RunConfig.validate accepts must still give a well-formed plan
+        g = random_graph(8, 12, seed=0)
+        cfg = RunConfig(variant=variant, p_s=p_s, p_t=p_t, walk_length=2, patch_length=patch_length,
+                        history=4, horizon=4, hidden_dim=3).validate()
+        spatial = variant in ("full", "NT", "U")
+        for seed in range(5):
+            plan = sample_mask_plan(cfg, g, np.random.default_rng(seed), np.random.default_rng(seed))
+            want = masking.mask_target_size(g.n_edges, p_s) if spatial else 0
+            assert len(plan.masked_edges) == want
+            assert plan.masked_edges <= g.edge_set()
+            assert not plan.patch_mask.all()
+        state = ModelState.initialize(cfg.encoder_config(8), stream(0, "init"))
+        x = np.random.default_rng(3).normal(size=(2, 4, 8, 1))
+        total, _, _ = pretrain_forward(x, g, state, cfg, plan)
+        assert np.isfinite(total.item())
 
 
 class TestSampleNegativeEdges:
