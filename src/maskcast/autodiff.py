@@ -13,7 +13,9 @@ desk-scale.
 
 import json
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -63,14 +65,23 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
 
-def _accumulate(t, g):
+def _accumulate(t, g, owned=False):
+    """Add ``g`` into ``t.grad``. ``owned`` says that nothing else holds
+    ``g`` or shares its memory: the kernel allocated it for ``t`` alone, or
+    it is the closure's upstream gradient, which ``backward`` drops after the
+    closure, handed to one parent only."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # the bits and memory layout of zeros_like(t.data) + g, without the
-        # zero fill; g + 0.0 alone would keep a transposed g's layout, which
-        # changes the summation order of a later _unbroadcast
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        if owned and g.shape == t.data.shape and g.flags.c_contiguous and t.data.flags.c_contiguous:
+            # handed over: zeros_like(t.data) + g in the same layout, with the
+            # same bits except that a -0.0 of g stays -0.0
+            t.grad = g
+        else:
+            # the bits and memory layout of zeros_like(t.data) + g, without
+            # the zero fill; g + 0.0 alone would keep a transposed g's layout,
+            # which changes the summation order of a later _unbroadcast
+            t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
     else:
         t.grad += g
 
@@ -112,9 +123,10 @@ def add(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
+            _accumulate(a, _unbroadcast(g, a.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+            # a may hold g itself now
+            _accumulate(b, _unbroadcast(g, b.shape), owned=not a.requires_grad)
 
     return _record(out, (a, b), backward)
 
@@ -126,9 +138,9 @@ def sub(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
+            _accumulate(a, _unbroadcast(g, a.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.shape))
+            _accumulate(b, -_unbroadcast(g, b.shape), owned=True)
 
     return _record(out, (a, b), backward)
 
@@ -140,9 +152,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+            _accumulate(a, _unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+            _accumulate(b, _unbroadcast(g * a.data, b.shape), owned=True)
 
     return _record(out, (a, b), backward)
 
@@ -152,7 +164,7 @@ def scale(a, c):
     out = Tensor(a.data * c)
 
     def backward(g):
-        _accumulate(a, g * c)
+        _accumulate(a, g * c, owned=True)
 
     return _record(out, (a,), backward)
 
@@ -164,7 +176,7 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
         if b.requires_grad:
             # a 2-D weight's gradient sums over the input's batch dims; one
             # GEMM over the folded batch replaces a [B, ...] stack and its sum
@@ -172,7 +184,7 @@ def matmul(a, b):
                 gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-            _accumulate(b, gb)
+            _accumulate(b, gb, owned=True)
 
     return _record(out, (a, b), backward)
 
@@ -188,7 +200,7 @@ def sigmoid(a):
     def backward(g):
         dy = g * y
         dy *= 1.0 - y
-        _accumulate(a, dy)
+        _accumulate(a, dy, owned=True)
 
     return _record(out, (a,), backward)
 
@@ -198,7 +210,7 @@ def tanh(a):
     out = Tensor(y)
 
     def backward(g):
-        _accumulate(a, g * (1.0 - y * y))
+        _accumulate(a, g * (1.0 - y * y), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -207,7 +219,7 @@ def relu(a):
     out = Tensor(np.maximum(a.data, 0.0))
 
     def backward(g):
-        _accumulate(a, g * (a.data > 0.0))
+        _accumulate(a, g * (a.data > 0.0), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -223,7 +235,7 @@ def row_softmax(a):
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        _accumulate(a, y * (g - dot), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -258,7 +270,7 @@ def take(a, axis, index):
         idx = [slice(None)] * a.data.ndim
         idx[axis] = index
         full[tuple(idx)] = g
-        _accumulate(a, full)
+        _accumulate(a, full, owned=True)
 
     return _record(out, (a,), backward)
 
@@ -274,7 +286,7 @@ def gather_flat(a, indices):
     def backward(g):
         full = np.zeros(a.size)
         np.add.at(full, indices, g)
-        _accumulate(a, full.reshape(a.shape))
+        _accumulate(a, full.reshape(a.shape), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -283,7 +295,7 @@ def tsum(a):
     out = Tensor(a.data.sum())
 
     def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).copy() if a.data.ndim else np.asarray(g))
+        _accumulate(a, np.broadcast_to(g, a.shape).copy() if a.data.ndim else np.asarray(g), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -293,7 +305,7 @@ def tmean(a):
     out = Tensor(a.data.mean())
 
     def backward(g):
-        _accumulate(a, np.full(a.shape, float(g) / n))
+        _accumulate(a, np.full(a.shape, float(g) / n), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -302,7 +314,7 @@ def tabs(a):
     out = Tensor(np.abs(a.data))
 
     def backward(g):
-        _accumulate(a, g * np.sign(a.data))
+        _accumulate(a, g * np.sign(a.data), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -311,7 +323,7 @@ def tlog(a):
     out = Tensor(np.log(a.data))
 
     def backward(g):
-        _accumulate(a, g / a.data)
+        _accumulate(a, g / a.data, owned=True)
 
     return _record(out, (a,), backward)
 
@@ -321,7 +333,7 @@ def transpose(a, axes):
     inv = np.argsort(axes)
 
     def backward(g):
-        _accumulate(a, np.transpose(g, inv))
+        _accumulate(a, np.transpose(g, inv), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -333,7 +345,7 @@ def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
 
     def backward(g):
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(a, g.reshape(a.shape), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -363,21 +375,42 @@ def _batch_ranges(batch, item_step):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _run_ranges(fn, ranges):
-    """``fn(lo, hi)`` for every range: the first in this thread, the others on
-    the pool. The pool threads must call only numpy: a span tracer may wrap
-    this module's functions with a stack that is not thread-safe."""
+def _run_ranges(jobs, threads):
+    """Call every job of ``jobs``, a list of no-argument callables, on up to
+    ``threads`` threads: this one takes the next job not yet started from
+    the front, the pool's from the back. Returns the jobs' results in job
+    order. Every job runs and is waited for; then the first error in job
+    order is raised. Jobs must call only numpy: a span tracer may wrap this
+    module's functions with a stack that is not thread-safe."""
     global _pool
+    results = [None] * len(jobs)
+    errors = [None] * len(jobs)
+    todo = deque(enumerate(jobs))
+
+    def drain(take):
+        while True:
+            try:
+                i, job = take()
+            except IndexError:
+                return
+            try:
+                results[i] = job()
+            except BaseException as exc:  # raised below, once every job is done
+                errors[i] = exc
+
+    threads = min(threads, len(jobs))
     futures = []
-    if len(ranges) > 1:
+    if threads > 1:
         if _pool is None:
             _pool = ThreadPoolExecutor(max_workers=_WORKERS - 1, thread_name_prefix="graph_gru")
-        futures = [_pool.submit(fn, lo, hi) for lo, hi in ranges[1:]]
-    try:
-        fn(*ranges[0])
-    finally:
-        for f in futures:
-            f.result()
+        futures = [_pool.submit(drain, todo.pop) for _ in range(threads - 1)]
+    drain(todo.popleft)
+    for f in futures:
+        f.result()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
@@ -404,7 +437,8 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
     gradients, D columns each. After it, the x-side gradient A^T (dpre W_x^T)
     and the weight gradients, from the cached A x, A h and A (r h), are one
     GEMM each. A learned adjacency adds one [N, N] product per A product
-    and step.
+    and step. The x-side gradient is written straight into ``x_emb``'s
+    layout and handed over as its gradient, with no copy.
 
     The lead axes are flattened into one batch axis, whose items never
     interact. The batch is cut into contiguous ranges, one per CPU in the
@@ -412,11 +446,15 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
     a single window is never cut. Each range runs the A x product, the
     forward recurrence, the reverse-time loop and the A^T product of the
     x-side gradient on its own rows, in preallocated buffers, so the
-    threads allocate nothing large. Every product that sums over the batch
-    (the weight and bias gradients, the learned adjacency's gradient) is
-    one call in the calling thread, after the ranges have joined. Outputs
-    and gradients are therefore bitwise the same for any number of ranges,
-    so for any number of CPUs. Under a multi-threaded BLAS, its own thread
+    threads allocate nothing large. The products after the reverse loop
+    that sum over the batch (the weight GEMMs, the bias GEMV, dpre W_x^T
+    and the learned adjacency's [N, N] terms) are jobs on the same threads:
+    each is whole, one numpy call, never split by rows, and the calling
+    thread adds the adjacency terms up in a fixed order once the jobs have
+    joined. The adjacency terms that read the recurrence caches run first,
+    and the caches are freed before dpre W_x^T is allocated. Outputs and
+    gradients are therefore bitwise the same for any number of ranges, so
+    for any number of CPUs. Under a multi-threaded BLAS, its own thread
     pool shares the same cores.
 
     The per-step activations are cached only when some input requires grad;
@@ -474,7 +512,7 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
             h *= u
             h += tmp
 
-    _run_ranges(forward_rows, ranges)
+    _run_ranges([partial(forward_rows, lo, hi) for lo, hi in ranges], len(ranges))
     conv_ws = gate_ws = tmp_ws = None
     out = Tensor(h_out.reshape(lead + (n, d)))
 
@@ -516,34 +554,58 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
                 dh_prev += np.matmul(a_t, dah, out=s1)
                 dh = dh_prev
 
-        _run_ranges(reverse_rows, ranges)
+        threads = len(ranges)
+        _run_ranges([partial(reverse_rows, lo, hi) for lo, hi in ranges], threads)
         work = None
-        da = None
+        # the products after the loop are jobs on the same threads, each one
+        # numpy call; the calling thread accumulates their results in a fixed
+        # order once they have joined
+        axes = ([0, -1],) * 2
+        da = jobs = None
         if adjacency.requires_grad:
             # dA sums (dL/d(A v)) v^T over the batch and channel axes of each A product
-            axes = ([0, -1],) * 2
+            def rh_term(t):
+                return np.tensordot(cs[t], np.multiply(rs[t], hs[t], out=rs[t]), axes=axes)
+
+            jobs = [job for t in reversed(range(steps))
+                    for job in (partial(rh_term, t), partial(np.tensordot, us[t], hs[t], axes=axes))]
             da = np.zeros_like(a)
-            for t in reversed(range(steps)):
-                da += np.tensordot(cs[t], np.multiply(rs[t], hs[t], out=rs[t]), axes=axes)
-                da += np.tensordot(us[t], hs[t], axes=axes)
-        # the last readers of these caches are done
-        hs = us = rs = cs = None
+            for term in _run_ranges(jobs, threads):
+                da += term
+        # the last readers of these caches are done: freeing them, and the
+        # jobs that hold views of them, before dax is allocated keeps the two
+        # from being held at once
+        hs = us = rs = cs = jobs = None
         flat = dpre.reshape(-1, 3 * d)
-        if x_emb.requires_grad or da is not None:
-            dax = np.matmul(flat, np.concatenate([w_ur[:cx], w_c[:cx]], axis=1).T).reshape(ax.shape)
-            if x_emb.requires_grad:
-                dx = np.empty_like(dax)
-                _run_ranges(lambda lo, hi: np.matmul(a_t, dax[:, lo:hi], out=dx[:, lo:hi]), ranges)
-                _accumulate(x_emb, dx.swapaxes(0, 1).reshape(x.shape))
-            if da is not None:
-                for t in range(steps):
-                    da += np.tensordot(dax[t], x_steps[t], axes=axes)
-                _accumulate(adjacency, da)
         dw = np.empty((cx + d, 3 * d))
-        np.matmul(ax.reshape(-1, cx).T, flat, out=dw[:cx])
-        np.matmul(ahs.reshape(-1, d).T, flat[:, :2 * d], out=dw[cx:, :2 * d])
-        np.matmul(arhs.reshape(-1, d).T, flat[:, 2 * d:], out=dw[cx:, 2 * d:])
-        db = np.ones(len(flat)) @ flat  # a GEMV: numpy's column sum walks row by row
+        jobs = [partial(np.matmul, ax.reshape(-1, cx).T, flat, out=dw[:cx]),
+                partial(np.matmul, ahs.reshape(-1, d).T, flat[:, :2 * d], out=dw[cx:, :2 * d]),
+                partial(np.matmul, arhs.reshape(-1, d).T, flat[:, 2 * d:], out=dw[cx:, 2 * d:]),
+                # a GEMV: numpy's column sum walks row by row
+                partial(np.matmul, np.ones(len(flat)), flat)]
+        need_dax = x_emb.requires_grad or da is not None
+        if need_dax:  # the longest job, so it starts first
+            jobs.insert(0, partial(np.matmul, flat, np.concatenate([w_ur[:cx], w_c[:cx]], axis=1).T))
+        results = _run_ranges(jobs, threads)
+        db = results[-1]
+        jobs = []
+        if need_dax:
+            dax = results[0].reshape(ax.shape)
+            if da is not None:
+                jobs += [partial(np.tensordot, dax[t], x_steps[t], axes=axes) for t in range(steps)]
+            if x_emb.requires_grad:
+                # written straight into x_emb's [..., H, N, C] layout
+                dx = np.empty(x.shape)
+                dx_steps = dx.reshape((batch,) + x.shape[-3:]).swapaxes(0, 1)
+                jobs += [partial(np.matmul, a_t, dax[:, lo:hi], out=dx_steps[:, lo:hi])
+                         for lo, hi in ranges]
+        results = _run_ranges(jobs, threads)
+        if x_emb.requires_grad:
+            _accumulate(x_emb, dx, owned=True)
+        if da is not None:
+            for term in results[:steps]:
+                da += term
+            _accumulate(adjacency, da, owned=True)
         for i, (w, b) in enumerate(((wu, bu), (wr, br), (wc, bc))):
             cols = slice(i * d, (i + 1) * d)
             if w.requires_grad:
@@ -588,7 +650,7 @@ def backward(loss):
             order.append(node)
             stack.pop()
 
-    _accumulate(loss, np.ones_like(loss.data))
+    _accumulate(loss, np.ones_like(loss.data), owned=True)
     while order:
         node = order.pop()
         if node._backward is not None:

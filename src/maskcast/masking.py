@@ -35,15 +35,24 @@ def mask_target_size(n_edges, p_s):
     return min(n_edges, max(1, int(round(n_edges * p_s))))
 
 
+# At most this many walks per target edge. Synthetic graphs at p_s=1 and
+# walk_length=2 took at most 12.5 (200 nodes, 2121 edges); an edge too light
+# for any walk to take would otherwise stall the plan for good.
+WALKS_PER_TARGET_EDGE = 100
+
+
 def trace_spatial_mask(g, p_s, cfg, rng):
     """Walk-based edge mask; returns (edge set, list of walks).
 
     Roots are drawn uniformly without replacement until exhausted, then with
     replacement; walks are truncated so the target edge count is hit exactly.
+    Raises ValueError when ``WALKS_PER_TARGET_EDGE`` walks per target edge
+    leave some target edges uncovered.
     """
     target = mask_target_size(g.n_edges, p_s)
     if target == 0:
         return set(), []
+    max_walks = WALKS_PER_TARGET_EDGE * target
 
     roots_with_nbrs = np.flatnonzero(np.diff(g.nbr_ptr))
     root_order = list(rng.permutation(roots_with_nbrs))
@@ -51,6 +60,10 @@ def trace_spatial_mask(g, p_s, cfg, rng):
     masked = set()
     walks = []
     while len(masked) < target:
+        if len(walks) == max_walks:
+            raise ValueError(
+                f"walk masking at p_s={p_s}: {len(walks)} walks left {target - len(masked)} "
+                f"of {target} target edges uncovered; the graph has edges too light to be walked")
         if root_order:
             root = int(root_order.pop())
         else:

@@ -131,6 +131,76 @@ class TestBackward:
         assert backward_peak(32) - backward_peak(4) < 8 * size
 
 
+def _reuse_after_reshape(a, b, w):
+    flat = ad.tsum(ad.mul(ad.reshape(a, (12,)), Tensor(w.reshape(12))))
+    return ad.add(flat, ad.tsum(ad.mul(a, b)))
+
+
+HANDOVER_CASES = {
+    "add_self": lambda a, b, w: ad.tsum(ad.mul(ad.add(a, a), Tensor(w))),
+    "add_both": lambda a, b, w: ad.tsum(ad.mul(ad.add(a, b), Tensor(w))),
+    "add_broadcast": lambda a, b, w: ad.tsum(ad.mul(
+        ad.add(a, ad.matmul(ad.reshape(b, (1, 12)), Tensor(np.ones((12, 4))))), Tensor(w))),
+    "sub_both": lambda a, b, w: ad.tsum(ad.mul(ad.sub(a, b), Tensor(w))),
+    "sub_self": lambda a, b, w: ad.tsum(ad.mul(ad.sub(a, a), Tensor(w))),
+    "two_kernels": lambda a, b, w: ad.tsum(ad.mul(ad.add(ad.sigmoid(a), ad.mul(a, b)), Tensor(w))),
+    "reshape": lambda a, b, w: ad.tsum(ad.mul(ad.reshape(ad.add(a, b), (12,)), Tensor(w.reshape(12)))),
+    "transpose": lambda a, b, w: ad.tsum(ad.mul(ad.transpose(ad.add(a, b), (1, 0)), Tensor(w.T))),
+    "reshape_reused": _reuse_after_reshape,
+}
+
+
+class TestGradientHandover:
+    """A gradient a kernel just allocated becomes the first ``.grad`` without
+    a copy, and no two tensors' gradients ever share memory."""
+
+    @staticmethod
+    def run(case, zeroed):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = rng.normal(size=(3, 4))
+        w[0, 0] = w[1, 2] = -0.0
+        if zeroed:
+            a.zero_grad()
+            b.zero_grad()
+        backward(HANDOVER_CASES[case](a, b, w))
+        return [t.grad for t in (a, b) if t.grad is not None]
+
+    @pytest.mark.parametrize("zeroed", [False, True])
+    @pytest.mark.parametrize("case", sorted(HANDOVER_CASES))
+    def test_no_aliasing_and_copy_path_values(self, monkeypatch, case, zeroed):
+        got = self.run(case, zeroed)
+        for i, g in enumerate(got):
+            assert g.flags.c_contiguous
+            assert not any(np.shares_memory(g, other) for other in got[i + 1:])
+        accumulate = ad._accumulate
+        monkeypatch.setattr(ad, "_accumulate", lambda t, g, owned=False: accumulate(t, g))
+        want = self.run(case, zeroed)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            # a handed-over -0.0 may stay -0.0 where the copy wrote +0.0;
+            # into a zeroed gradient every bit is the copy path's
+            if zeroed:
+                assert g.tobytes() == w.tobytes()
+            else:
+                assert np.array_equal(g, w)
+
+    def test_kernel_gradient_is_the_first_grad(self, monkeypatch):
+        handed = []
+        accumulate = ad._accumulate
+
+        def spy(t, g, owned=False):
+            handed.append((t, g))
+            accumulate(t, g, owned)
+
+        monkeypatch.setattr(ad, "_accumulate", spy)
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        backward(ad.tsum(ad.mul(x, Tensor(np.full((2, 3), 2.0)))))
+        (g,) = [g for t, g in handed if t is x]
+        assert x.grad is g
+
+
 class TestFiniteDiffCheck:
     def test_sum_of_squares(self):
         params = ParameterTree()
@@ -230,6 +300,20 @@ class TestAdam:
                 assert t.data.tobytes() == want[p].tobytes(), p
                 assert opt.m[p].tobytes() == m[p].tobytes(), p
                 assert opt.v[p].tobytes() == v[p].tobytes(), p
+
+    def test_signed_zero_gradient_gives_the_same_update(self):
+        # a handed-over first gradient may keep a -0.0 that the copy path
+        # turned into +0.0; the step must not tell them apart
+        runs = []
+        for zero in (-0.0, 0.0):
+            params = ParameterTree()
+            x = params.add("x", np.array([0.5, -0.25, 0.0]))
+            opt = Adam(params, lr=0.1)
+            for step in range(3):
+                x.grad = np.array([zero, 0.125 * step, zero])
+                opt.step()
+            runs.append((x.data.tobytes(), opt.m["x"].tobytes(), opt.v["x"].tobytes()))
+        assert runs[0] == runs[1]
 
     def test_moment_state_persists(self):
         params = ParameterTree()

@@ -251,6 +251,20 @@ class TestBadInput:
         assert message in err and f"line {n_lines}:" in err
 
 
+def test_unwalkable_edge_stops_with_exit_two(data_dir, tmp_path, capsys):
+    # a 6-cycle whose closing edge is far too light for any walk to take: at
+    # p_s=1 the walk masker can never cover it, so the run stops at the cap on
+    # walks per plan
+    out = tmp_path / "light"
+    shutil.copytree(data_dir, out)
+    edges = [f"{u},{u + 1},1.0" for u in range(5)] + ["0,5,1e-12"]
+    (out / "dataset_edges.csv").write_text("\n".join(["u,v,weight"] + edges) + "\n")
+    argv = ["train", "--data", str(out), "--out", str(tmp_path / "run"),
+            "--set", "p_s=1", "--set", "walk_length=2"]
+    assert main(argv + FAST) == 2
+    assert "p_s=1: 600 walks left 1 of 6 target edges uncovered" in capsys.readouterr().err
+
+
 class TestCheckpointChecks:
     """A malformed model manifest or checkpoint, or one that names what the model
     lacks, fails with exit 2."""

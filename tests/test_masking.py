@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maskcast import autodiff as ad
+from maskcast import masking
 from maskcast.autodiff import Tensor
 from maskcast.graph import Graph, WalkConfig
 from maskcast.masking import (apply_spatial_mask, apply_temporal_mask,
@@ -48,6 +49,17 @@ class TestSpatialMask:
         a = trace_spatial_mask(g, 0.4, WalkConfig(p=2, q=0.5), np.random.default_rng(11))[0]
         b = trace_spatial_mask(g, 0.4, WalkConfig(p=2, q=0.5), np.random.default_rng(11))[0]
         assert a == b
+
+    def test_unwalkable_edge_stops_at_the_cap(self, monkeypatch):
+        # a triangle whose edge (0, 2) no walk takes in practice; the walks
+        # from roots 0 and 2 cover the other two
+        g = Graph(n_nodes=3, edges=[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1e-12)])
+        monkeypatch.setattr(masking, "WALKS_PER_TARGET_EDGE", 5)
+        cfg = WalkConfig(p=0.5, q=2.0, walk_length=2)
+        edges, walks = trace_spatial_mask(g, 0.6, cfg, np.random.default_rng(0))
+        assert edges == {(0, 1), (1, 2)} and len(walks) <= 3
+        with pytest.raises(ValueError, match=r"p_s=1\.0: 15 walks left 1 of 3 target edges uncovered"):
+            trace_spatial_mask(g, 1.0, cfg, np.random.default_rng(0))
 
 
 class TestApplySpatialMask:

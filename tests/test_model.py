@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -270,9 +271,9 @@ class TestGraphGRURanges:
         seen = []
         run_ranges = ad._run_ranges
 
-        def spy(fn, ranges):
-            seen.append(len(ranges))
-            return run_ranges(fn, ranges)
+        def spy(jobs, threads):
+            seen.append((len(jobs), threads))
+            return run_ranges(jobs, threads)
 
         monkeypatch.setattr(ad, "_run_ranges", spy)
         batch = int(np.prod(lead))
@@ -280,7 +281,11 @@ class TestGraphGRURanges:
             force_ranges(monkeypatch, count)
             seen.clear()
             got = self.run(lead, learned, taped, **shape)
-            assert set(seen) == {min(count, batch)}
+            ranges = min(count, batch)
+            # every call runs on one thread per range; the forward recurrence
+            # and the reverse-time loop are one job per range
+            assert {threads for _, threads in seen} == {ranges}
+            assert [jobs for jobs, _ in seen[:1 + taped]] == [ranges] * (1 + taped)
             self.assert_same_bits(got, want)
 
     def test_more_ranges_than_cores_under_fast_switching(self, monkeypatch):
@@ -340,6 +345,50 @@ class TestGraphGRURanges:
             assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
             assert ranges[-1][1] == batch and all(hi > lo for lo, hi in ranges)
 
+    @staticmethod
+    def run_kernel(lead, n, c, d, hist=4, seed=5):
+        """graph_gru on leaf inputs, a learned (leaf) adjacency among them;
+        returns the output and every gradient."""
+        rng = np.random.default_rng(seed)
+        x_emb = Tensor(rng.normal(size=lead + (hist, n, c)), requires_grad=True)
+        adjacency = Tensor(rng.uniform(0.0, 2.0 / n, size=(n, n)), requires_grad=True)
+        weights = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
+                   for _ in range(3) for shape in ((c + d, d), (d,))]
+        out = ad.graph_gru(x_emb, adjacency, *weights)
+        ad.backward(ad.tsum(ad.mul(out, Tensor(rng.uniform(0.5, 1.5, size=out.shape)))))
+        grads = {f"w{i}": t.grad for i, t in enumerate(weights)}
+        return {"out": out.data, "dx": x_emb.grad, "da": adjacency.grad, **grads}
+
+    # splitting the x-side GEMM by rows would change bits at N=20 and at C=1
+    @pytest.mark.parametrize("n, c", [(20, 1), (20, 16), (48, 16)])
+    def test_tail_bits_do_not_depend_on_thread_count(self, monkeypatch, n, c):
+        force_ranges(monkeypatch, 1)
+        want = self.run_kernel((5,), n, c, 16)
+        for count in (2, 3):
+            force_ranges(monkeypatch, count)
+            self.assert_same_bits(self.run_kernel((5,), n, c, 16), want)
+
+    def test_backward_never_holds_caches_and_dax_at_once(self, monkeypatch):
+        # with C < 4D, dax and dx together stay below what dax on top of
+        # the four recurrence caches would take
+        force_ranges(monkeypatch, 2)
+        batch, hist, n, c, d = 16, 24, 10, 16, 8
+        rng = np.random.default_rng(0)
+        x_emb = Tensor(rng.normal(size=(batch, hist, n, c)), requires_grad=True)
+        adjacency = Tensor(rng.uniform(0.0, 0.2, size=(n, n)), requires_grad=True)
+        weights = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
+                   for _ in range(3) for shape in ((c + d, d), (d,))]
+        tracemalloc.start()
+        try:
+            ad.backward(ad.tsum(ad.graph_gru(x_emb, adjacency, *weights)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = hist * batch * n * 8  # bytes per channel of a [H, B, N, .] array
+        held = unit * (c + 2 * d + 3 * d)  # A x, A h and A (r h), dpre
+        caches = unit * 4 * d  # h, u, r and c of every step
+        assert held + caches <= peak < held + caches + unit * c
+
     def test_shape_error_before_any_work_is_sent(self, monkeypatch):
         class Pool:
             def submit(self, *args):
@@ -354,6 +403,42 @@ class TestGraphGRURanges:
         params = {**dict(state.params.items()), "encoder.cand.b": Tensor(np.zeros(4))}
         with pytest.raises(ad.ShapeError, match="graph_gru"):
             encoder_forward(x_emb, Tensor(np.eye(4)), params)
+
+
+class TestRunRanges:
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 3)
+        monkeypatch.setattr(ad, "_pool", None)
+        yield
+        if ad._pool is not None:
+            ad._pool.shutdown()
+
+    def test_results_in_job_order(self):
+        jobs = [lambda i=i: i * i for i in range(7)]
+        for threads in (1, 2, 3):
+            assert ad._run_ranges(jobs, threads) == [i * i for i in range(7)]
+        assert ad._run_ranges([], 3) == []
+
+    def test_first_error_in_job_order_after_every_job(self):
+        ran = []
+        started = threading.Event()
+
+        def first():
+            # the pool's job raises while this one still runs
+            assert started.wait(10)
+            time.sleep(0.05)
+            ran.append("first")
+            raise RuntimeError("first")
+
+        def second():
+            started.set()
+            ran.append("second")
+            raise KeyError("second")
+
+        with pytest.raises(RuntimeError, match="first"):
+            ad._run_ranges([first, second, lambda: ran.append("third")], 2)
+        assert sorted(ran) == ["first", "second", "third"]
 
 
 class TestSpatialDecoder:

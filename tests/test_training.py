@@ -295,6 +295,26 @@ class TestRunTwoStage:
         for path, tensor in a.state.params.items():
             assert (b.state.params[path].data == tensor.data).all()
 
+    def test_adaptive_run_bitwise_identical_on_one_and_two_threads(self, tiny, monkeypatch):
+        # every batch cut into two ranges: the recurrence and the products
+        # after its reverse loop, the learned adjacency's gradient among
+        # them, run on two threads
+        splits, g = tiny
+        cfg = small_cfg(graph_mode="adaptive", topk=3, negative_sampling=True)
+        runs = []
+        monkeypatch.setattr(ad, "_MIN_RANGE_STEP", 1)
+        monkeypatch.setattr(ad, "_pool", None)
+        try:
+            for workers in (1, 2):
+                monkeypatch.setattr(ad, "_WORKERS", workers)
+                result = run_two_stage(cfg, splits, g)
+                runs.append(({p: t.data.tobytes() for p, t in result.state.params.items()},
+                             curve_to_csv_rows(result.curve), repr(result.report)))
+        finally:
+            if ad._pool is not None:
+                ad._pool.shutdown()
+        assert runs[0] == runs[1]
+
     def test_no_pretraining_matches_scratch_baseline(self, tiny):
         splits, g = tiny
         a = run_two_stage(small_cfg(pretrain_epochs=0), splits, g)
