@@ -350,6 +350,38 @@ def reshape(a, shape):
     return _record(out, (a,), backward)
 
 
+def mask_steps(x, steps, token):
+    """Copy of ``x`` [..., H, N, D] with the history steps listed in
+    ``steps`` (distinct, ascending) replaced by ``token`` [D] at every node.
+
+    The result and both gradients have the bits of x (1 - m) + token m for a
+    0/1 step indicator m [H, 1, 1], for finite nonzero values: the token's
+    gradient sums the upstream gradient over the lead axes, then the nodes,
+    then the masked steps, as that product's backward does; x's gradient is
+    the upstream gradient with the masked steps multiplied by 0.0, in place.
+    """
+    steps = np.asarray(steps, dtype=np.int64)
+    if (x.data.ndim < 3 or token.shape != x.shape[-1:] or steps.ndim != 1
+            or (steps.size and (steps.min() < 0 or steps.max() >= x.shape[-3]))):
+        _shape_fail("mask_steps", x.shape, steps.shape, token.shape)
+    h, d = x.shape[-3], x.shape[-1]
+    y = x.data.copy()
+    y[..., steps, :, :] = token.data
+    out = Tensor(y)
+
+    def backward(g):
+        if token.requires_grad:
+            per_step = np.zeros((h, 1, d))
+            per_step[steps] = _unbroadcast(g[..., steps, :, :], (len(steps), 1, d))
+            _accumulate(token, per_step.sum(axis=(0, 1)), owned=True)
+        if x.requires_grad:
+            # g is this node's own upstream gradient, dropped after this closure
+            g[..., steps, :, :] *= 0.0
+            _accumulate(x, g, owned=True)
+
+    return _record(out, (x, token), backward)
+
+
 # graph_gru cuts its batch into contiguous ranges, one per CPU this process
 # may run on, and runs them on a thread pool; numpy releases the GIL inside
 # each call. A range is cut off only while every range keeps at least

@@ -16,6 +16,9 @@ class Graph:
     where edges exist, no duplicate undirected edges. The neighbours of node
     u, as a CSR table built once, are ``nbr_index[nbr_ptr[u]:nbr_ptr[u + 1]]``
     with weights ``nbr_weight`` over the same range, in ascending order.
+    ``biased_random_walk`` keeps the transition CDFs it builds in
+    ``_walk_cdfs``; it holds at most one CDF per root and per directed edge
+    for each (p, q) walked.
     """
 
     n_nodes: int
@@ -32,6 +35,7 @@ class Graph:
         rows, self.nbr_index = np.nonzero(self.adjacency)
         self.nbr_ptr = np.searchsorted(rows, np.arange(self.n_nodes + 1))
         self.nbr_weight = self.adjacency[rows, self.nbr_index]
+        self._walk_cdfs = {}  # (p, q) -> {(prev or None, cur): (nbrs, cdf)}
 
     @property
     def n_edges(self):
@@ -124,33 +128,45 @@ def biased_random_walk(g, root, cfg, rng):
     neighbor; in a symmetric adjacency every later node then has one (the
     node it came from), so the path always has ``cfg.walk_length`` nodes.
     Each step consumes one ``rng.random()`` and picks exactly what
-    ``rng.choice(nbrs, p=probs)`` would.
+    ``rng.choice(nbrs, p=probs)`` would. Each transition's CDF is built on
+    first use and kept on ``g``, per ``(p, q)``, so a later step is one
+    draw and one search.
     """
-    lo, hi = g.nbr_ptr[root], g.nbr_ptr[root + 1]
-    weights = g.nbr_weight[lo:hi]
-    path = [root, _draw(g.nbr_index[lo:hi], weights / weights.sum(), rng)]
+    cdfs = g._walk_cdfs.setdefault((cfg.p, cfg.q), {})
+    path = [root, _step(g, cdfs, None, root, cfg, rng)]
     while len(path) < cfg.walk_length:
-        cur = path[-1]
-        prev = path[-2]
-        lo, hi = g.nbr_ptr[cur], g.nbr_ptr[cur + 1]
-        nbrs = g.nbr_index[lo:hi]
+        path.append(_step(g, cdfs, path[-2], path[-1], cfg, rng))
+    return path
+
+
+def _step(g, cdfs, prev, cur, cfg, rng):
+    # Generator.choice(nbrs, p=probs)'s own inverse-CDF draw, without its
+    # per-call argument checks
+    entry = cdfs.get((prev, cur))
+    if entry is None:
+        entry = cdfs[prev, cur] = _transition_cdf(g, prev, cur, cfg)
+    nbrs, cdf = entry
+    return int(nbrs[cdf.searchsorted(rng.random(), side="right")])
+
+
+def _transition_cdf(g, prev, cur, cfg):
+    """(neighbours of ``cur``, CDF of the step to them), having come from
+    ``prev`` (None on the first step)."""
+    lo, hi = g.nbr_ptr[cur], g.nbr_ptr[cur + 1]
+    nbrs, weights = g.nbr_index[lo:hi], g.nbr_weight[lo:hi]
+    if prev is None:
+        probs = weights / weights.sum()
+    else:
         alpha = np.where(
             nbrs == prev,
             1.0 / cfg.p,
             np.where(g.adjacency[prev, nbrs] > 0, 1.0, 1.0 / cfg.q),
         )
-        probs = g.nbr_weight[lo:hi] * alpha
+        probs = weights * alpha
         probs /= probs.sum()
-        path.append(_draw(nbrs, probs, rng))
-    return path
-
-
-def _draw(items, probs, rng):
-    # Generator.choice(items, p=probs)'s own inverse-CDF draw, without its
-    # per-call argument checks
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    return int(items[cdf.searchsorted(rng.random(), side="right")])
+    return nbrs, cdf
 
 
 # ---------------------------------------------------------------------------

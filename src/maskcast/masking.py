@@ -124,16 +124,12 @@ def step_mask(patch_mask, n_steps):
 def apply_temporal_mask(x_emb, patch_mask, mask_token):
     """Replace masked patches of an embedded window with the shared token.
 
-    ``x_emb`` has shape [..., H, N, D]; the token (shape [D]) is broadcast
-    over every masked position, so its gradient comes only from masked
-    patches.
+    ``x_emb`` has shape [..., H, N, D]; the token (shape [D]) is written
+    into every masked position by one ``mask_steps`` kernel, so its gradient
+    comes only from masked patches.
     """
-    h, _, d = x_emb.shape[-3:]
+    h = x_emb.shape[-3]
     n_patches = len(patch_mask)
     if h % n_patches != 0:
         raise ad.ShapeError(f"apply_temporal_mask: history {h} not divisible into {n_patches} patches")
-    if mask_token.shape != (d,):
-        raise ad.ShapeError(f"apply_temporal_mask: token shape {tuple(mask_token.shape)} != ({d},)")
-
-    fill = step_mask(patch_mask, h)
-    return ad.add(ad.mul(x_emb, ad.Tensor(1.0 - fill)), ad.mul(mask_token, ad.Tensor(fill)))
+    return ad.mask_steps(x_emb, np.flatnonzero(step_mask(patch_mask, h)), mask_token)

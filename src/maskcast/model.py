@@ -105,11 +105,13 @@ def encoder_forward(x_emb, adjacency, params):
 
 
 def spatial_decoder(s, params):
-    """Sigmoid inner-product adjacency reconstruction: sigmoid((SW)(SW)^T)."""
+    """Inner-product adjacency reconstruction logits (SW)(SW)^T; the edge
+    probabilities are their sigmoid, which ``loss_spatial`` takes only at
+    the pairs it scores."""
     sw = ad.matmul(s, params["spatial_decoder.w"])
     ndim = len(sw.shape)
     axes = tuple(range(ndim - 2)) + (ndim - 1, ndim - 2)
-    return ad.sigmoid(ad.matmul(sw, ad.transpose(sw, axes)))
+    return ad.matmul(sw, ad.transpose(sw, axes))
 
 
 def temporal_decoder(s, config, params):

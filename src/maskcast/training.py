@@ -70,8 +70,12 @@ class RunConfig:
             value = getattr(self, f.name)
             if not isinstance(value, _ACCEPTS[f.type]) or (isinstance(value, bool) and f.type is not bool):
                 raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
-            if f.type is float and not abs(value) <= sys.float_info.max:  # NaN compares false
-                raise ConfigError(f"{f.name} must be a finite float, got {value!r}")
+            if f.type is float:
+                if not abs(value) <= sys.float_info.max:  # NaN compares false
+                    raise ConfigError(f"{f.name} must be a finite float, got {value!r}")
+                # stored as a float, so 1 and 1.0 serialise and print alike
+                value = float(value)
+                setattr(self, f.name, value)
             if f.name in _MINIMUM and value < _MINIMUM[f.name]:
                 raise ConfigError(f"{f.name} must be at least {_MINIMUM[f.name]}, got {value!r}")
             if f.name in _POSITIVE and value <= 0:
@@ -115,12 +119,14 @@ def loss_pred(y_hat, y):
     return ad.tmean(ad.tabs(ad.sub(y_hat, yt)))
 
 
-def loss_spatial(a_hat, masked_edges, negative_edges=None):
+def loss_spatial(a_hat, masked_edges, negative_edges=None, logits=False):
     """Mean -log A_hat over masked undirected pairs (each counted once, u < v).
 
     ``a_hat`` may be [N, N] or batched [B, N, N]; batched entries average
     over the batch too. With negatives supplied, non-edges contribute
-    -log(1 - A_hat) and the mean runs over both sets.
+    -log(1 - A_hat) and the mean runs over both sets. With ``logits``,
+    ``a_hat`` holds logits and A_hat is their sigmoid, taken only at the
+    gathered pairs; its values are the bits of the full matrix's sigmoid.
     """
     if not masked_edges:
         return Tensor(0.0)
@@ -133,11 +139,14 @@ def loss_spatial(a_hat, masked_edges, negative_edges=None):
         within = lo_hi[:, 0] * n + lo_hi[:, 1]
         return (np.arange(batch, dtype=np.int64)[:, None] * (n * n) + within).reshape(-1)
 
-    pos = ad.tsum(ad.tlog(ad.gather_flat(a_hat, flat_indices(masked_edges))))
+    def probabilities(pairs):
+        picked = ad.gather_flat(a_hat, flat_indices(pairs))
+        return ad.sigmoid(picked) if logits else picked
+
+    pos = ad.tsum(ad.tlog(probabilities(masked_edges)))
     count = batch * len(masked_edges)
     if negative_edges:
-        neg_vals = ad.gather_flat(a_hat, flat_indices(negative_edges))
-        neg = ad.tsum(ad.tlog(ad.sub(Tensor(1.0), neg_vals)))
+        neg = ad.tsum(ad.tlog(ad.sub(Tensor(1.0), probabilities(negative_edges))))
         pos = ad.add(pos, neg)
         count += batch * len(negative_edges)
     return ad.scale(pos, -1.0 / count)
@@ -231,8 +240,8 @@ def pretrain_forward(x_batch, g, state, cfg, plan, negative_edges=None, mask_gra
     s = encoder_forward(x_emb, adjacency, params)
 
     if plan.masked_edges:
-        a_hat = spatial_decoder(s, params)
-        l_a = loss_spatial(a_hat, plan.masked_edges, negative_edges)
+        l_a = loss_spatial(spatial_decoder(s, params), plan.masked_edges, negative_edges,
+                           logits=True)
     else:
         l_a = Tensor(0.0)
     if plan.patch_mask.any():

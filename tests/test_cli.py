@@ -58,6 +58,13 @@ class TestLoadConfig:
         cfg = load_config(None, ["variant=NT"])
         assert cfg.variant == "NT"
 
+    def test_int_and_float_spellings_serialise_alike(self):
+        as_int = load_config(None, ["p_s=1", "lr=1", "lambda=2"])
+        as_float = load_config(None, ["p_s=1.0", "lr=1.0", "lambda=2.0"])
+        assert (json.dumps(dataclasses.asdict(as_int))
+                == json.dumps(dataclasses.asdict(as_float)))
+        assert type(as_int.p_s) is float and type(as_int.lam) is float
+
     def test_dump_load_round_trip(self, tmp_path):
         cfg = load_config(None, ["p_s=0.6", "seed=7"])
         path = tmp_path / "cfg.json"
@@ -262,7 +269,7 @@ def test_unwalkable_edge_stops_with_exit_two(data_dir, tmp_path, capsys):
     argv = ["train", "--data", str(out), "--out", str(tmp_path / "run"),
             "--set", "p_s=1", "--set", "walk_length=2"]
     assert main(argv + FAST) == 2
-    assert "p_s=1: 600 walks left 1 of 6 target edges uncovered" in capsys.readouterr().err
+    assert "p_s=1.0: 600 walks left 1 of 6 target edges uncovered" in capsys.readouterr().err
 
 
 class TestCheckpointChecks:

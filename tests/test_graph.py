@@ -223,12 +223,26 @@ class TestBiasedRandomWalk:
     @pytest.mark.parametrize("p,q,walk_length", [(1.0, 1.0, 8), (0.5, 2.0, 12), (4.0, 0.25, 5)])
     def test_same_walks_and_stream_as_generator_choice(self, p, q, walk_length):
         cfg = WalkConfig(p=p, q=q, walk_length=walk_length)
-        for g in (random_graph(30, 80, seed=5), random_graph(12, 20, seed=6)):
-            rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
-            for root in range(g.n_nodes):
-                if g.adjacency[root].any():
+        graphs = (random_graph(30, 80, seed=5), random_graph(12, 20, seed=6))
+        # the second pass draws from the transition CDFs the first one cached
+        for _ in range(2):
+            for g in graphs:
+                rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+                for root in range(g.n_nodes):
+                    if g.adjacency[root].any():
+                        assert biased_random_walk(g, root, cfg, rng) == reference_walk(g, root, cfg, ref_rng)
+                assert rng.random() == ref_rng.random()
+
+    def test_interleaved_walk_configs_keep_their_own_transitions(self):
+        g = random_graph(20, 50, seed=7)
+        configs = (WalkConfig(p=0.5, q=2.0, walk_length=9), WalkConfig(p=4.0, q=0.25, walk_length=9))
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        roots = [u for u in range(g.n_nodes) if g.adjacency[u].any()]
+        for _ in range(3):
+            for root in roots:
+                for cfg in configs:
                     assert biased_random_walk(g, root, cfg, rng) == reference_walk(g, root, cfg, ref_rng)
-            assert rng.random() == ref_rng.random()
+        assert rng.random() == ref_rng.random()
 
     def test_seeded_walk_reproducible(self, cycle_graph):
         cfg = WalkConfig(p=0.7, q=1.3, walk_length=10)

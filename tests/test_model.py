@@ -442,24 +442,24 @@ class TestRunRanges:
 
 
 class TestSpatialDecoder:
-    def test_zero_state_gives_half(self):
+    def test_zero_state_gives_zero_logits(self):
         state = make_state()
         out = spatial_decoder(Tensor(np.zeros((4, 3))), state.params)
-        np.testing.assert_array_equal(out.data, np.full((4, 4), 0.5))
+        np.testing.assert_array_equal(out.data, np.zeros((4, 4)))
 
     def test_hand_example(self):
         state = make_state(hidden_dim=1)
         state.params["spatial_decoder.w"].data = np.array([[1.0]])
         out = spatial_decoder(Tensor([[1.0], [2.0]]), state.params)
-        expected = 1 / (1 + np.exp(-np.array([[1.0, 2.0], [2.0, 4.0]])))
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+        np.testing.assert_array_equal(out.data, np.array([[1.0, 2.0], [2.0, 4.0]]))
 
-    def test_symmetric_and_in_open_interval(self):
+    def test_symmetric_and_sigmoid_in_open_interval(self):
         state = make_state(n_nodes=6, hidden_dim=4)
         s = Tensor(np.random.default_rng(4).normal(size=(6, 4)))
         out = spatial_decoder(s, state.params).data
         assert np.abs(out - out.T).max() < 1e-12
-        assert (out > 0).all() and (out < 1).all()
+        probs = ad.sigmoid(Tensor(out)).data
+        assert (probs > 0).all() and (probs < 1).all()
 
 
 class TestTemporalDecoder:

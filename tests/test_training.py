@@ -5,12 +5,14 @@ from maskcast import autodiff as ad
 from maskcast import masking, training
 from maskcast.autodiff import Adam, Tensor
 from maskcast.data import prepare_splits, stack_windows, synthesize
-from maskcast.model import ModelState
+from maskcast.model import (ModelState, embed_input, encoder_forward,
+                            mask_sampling_graph, model_adjacency, spatial_decoder,
+                            temporal_decoder)
 from maskcast.seeding import stream
 from maskcast.training import (RunConfig, curve_to_csv_rows, finetune_step,
                                loss_pred, loss_pretrain, loss_spatial,
-                               loss_temporal, pretrain_forward, run_two_stage,
-                               sample_mask_plan, sample_negative_edges)
+                               loss_temporal, init_state, pretrain_forward,
+                               run_two_stage, sample_mask_plan, sample_negative_edges)
 
 from conftest import random_graph
 
@@ -264,6 +266,68 @@ class TestPretrainForward:
         total, l_a, l_x = pretrain_forward(x, g, state, cfg, plan)
         np.testing.assert_allclose(total.item(), 2.0 * l_a.item() + l_x.item(),
                                    rtol=1e-12)
+
+
+class TestPretrainForwardBits:
+    """pretrain_forward against the chain it replaced, built from the older
+    kernels: the full [B, N, N] sigmoid, gather_flat and tlog of the
+    gathered probabilities, and the patch mask as x (1 - m) + token m."""
+
+    @staticmethod
+    def chain_forward(x_batch, g, state, cfg, plan, negative_edges, mask_graph):
+        params = state.params
+        x_emb = embed_input(Tensor(x_batch), params)
+        if plan.patch_mask.any():
+            fill = masking.step_mask(plan.patch_mask, cfg.history)
+            x_emb = ad.add(ad.mul(x_emb, Tensor(1.0 - fill)),
+                           ad.mul(params["mask_token"], Tensor(fill)))
+        adjacency = model_adjacency(mask_graph if mask_graph is not None else g, state,
+                                    plan.masked_edges)
+        s = encoder_forward(x_emb, adjacency, params)
+        a_hat = ad.sigmoid(spatial_decoder(s, params))
+        l_a = loss_spatial(a_hat, plan.masked_edges, negative_edges)
+        l_x = Tensor(0.0)
+        if plan.patch_mask.any():
+            l_x = loss_temporal(temporal_decoder(s, state.config, params), x_batch, plan.patch_mask)
+        return loss_pretrain(l_a, l_x, cfg.lam)
+
+    @staticmethod
+    def loss_and_gradients(forward, params):
+        params.zero_grad()
+        loss = forward()
+        ad.backward(loss)
+        return loss.data.tobytes(), {p: t.grad.tobytes() for p, t in params.items()}
+
+    @pytest.mark.parametrize("graph_mode,negatives,patch_mask", [
+        ("predefined", True, [True, False, True]),
+        ("adaptive", False, [False, True, True]),
+        ("predefined", True, [False, False, False]),
+    ])
+    def test_loss_and_gradients_bitwise_equal_to_the_old_chain(self, graph_mode, negatives,
+                                                               patch_mask):
+        g = random_graph(9, 18, seed=4)
+        cfg = RunConfig(history=6, horizon=3, patch_length=2, hidden_dim=4, lam=0.7,
+                        graph_mode=graph_mode, topk=3, node_embed_dim=3)
+        state = init_state(cfg, g)
+        mask_graph = mask_sampling_graph(g, state) if graph_mode == "adaptive" else None
+        sample_graph = mask_graph if mask_graph is not None else g
+        rng = np.random.default_rng(8)
+        edges, _ = masking.trace_spatial_mask(sample_graph, 0.4, cfg.walk_config(), rng)
+        negative_edges = (sample_negative_edges(sample_graph, len(edges), rng)
+                          if negatives else None)
+        plan = masking.MaskPlan(masked_edges=edges, patch_mask=np.array(patch_mask),
+                                p_s=0.4, p_t=0.5, patch_length=2)
+        x = rng.normal(size=(3, 6, 9, 1))
+
+        new = self.loss_and_gradients(
+            lambda: pretrain_forward(x, g, state, cfg, plan, negative_edges=negative_edges,
+                                     mask_graph=mask_graph)[0], state.params)
+        old = self.loss_and_gradients(
+            lambda: self.chain_forward(x, g, state, cfg, plan, negative_edges, mask_graph),
+            state.params)
+        assert new[0] == old[0]
+        assert new[1] == old[1]
+        assert any(np.frombuffer(grad).any() for grad in new[1].values())
 
 
 class TestFinetuneFreezing:
