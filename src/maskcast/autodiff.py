@@ -350,36 +350,53 @@ def reshape(a, shape):
     return _record(out, (a,), backward)
 
 
-def mask_steps(x, steps, token):
-    """Copy of ``x`` [..., H, N, D] with the history steps listed in
-    ``steps`` (distinct, ascending) replaced by ``token`` [D] at every node.
+def masked_embed(x, w, b, steps=(), token=None):
+    """x W + b for a window ``x`` [..., H, N, C], ``w`` [C, D] and ``b`` [D],
+    with the history steps listed in ``steps`` (distinct, ascending) then
+    overwritten by ``token`` [D] at every node, all in one output array.
 
-    The result and both gradients have the bits of x (1 - m) + token m for a
-    0/1 step indicator m [H, 1, 1], for finite nonzero values: the token's
-    gradient sums the upstream gradient over the lead axes, then the nodes,
-    then the masked steps, as that product's backward does; x's gradient is
-    the upstream gradient with the masked steps multiplied by 0.0, in place.
+    The result and every gradient have the bits of add(matmul(x, w), b)
+    followed by a copy with the token written into the masked steps, which
+    has the bits of e (1 - m) + token m for a 0/1 step indicator m [H, 1, 1],
+    for finite nonzero values. Backward takes the token's gradient from the
+    upstream gradient over the masked steps (lead axes, then nodes, then
+    steps), multiplies those steps of the upstream gradient by 0.0 in place,
+    and then takes the gradients of b, x and w from it as add's and matmul's
+    backward do. Only the one output is kept, where that chain kept three.
     """
     steps = np.asarray(steps, dtype=np.int64)
-    if (x.data.ndim < 3 or token.shape != x.shape[-1:] or steps.ndim != 1
-            or (steps.size and (steps.min() < 0 or steps.max() >= x.shape[-3]))):
-        _shape_fail("mask_steps", x.shape, steps.shape, token.shape)
-    h, d = x.shape[-3], x.shape[-1]
-    y = x.data.copy()
-    y[..., steps, :, :] = token.data
+    if (x.data.ndim < 3 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:] or (token is not None and token.shape != b.shape)
+            or steps.ndim != 1
+            or (steps.size and (token is None or steps.min() < 0 or steps.max() >= x.shape[-3]))):
+        _shape_fail("masked_embed", x.shape, w.shape, b.shape, steps.shape,
+                    () if token is None else token.shape)
+    h, d = x.shape[-3], w.shape[1]
+    y = np.matmul(x.data, w.data)
+    y += b.data
+    parents = (x, w, b)
+    if steps.size:
+        y[..., steps, :, :] = token.data
+        parents += (token,)
     out = Tensor(y)
 
     def backward(g):
-        if token.requires_grad:
-            per_step = np.zeros((h, 1, d))
-            per_step[steps] = _unbroadcast(g[..., steps, :, :], (len(steps), 1, d))
-            _accumulate(token, per_step.sum(axis=(0, 1)), owned=True)
-        if x.requires_grad:
+        if steps.size:
+            if token.requires_grad:
+                per_step = np.zeros((h, 1, d))
+                per_step[steps] = _unbroadcast(g[..., steps, :, :], (len(steps), 1, d))
+                _accumulate(token, per_step.sum(axis=(0, 1)), owned=True)
             # g is this node's own upstream gradient, dropped after this closure
             g[..., steps, :, :] *= 0.0
-            _accumulate(x, g, owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape), owned=True)
+        if x.requires_grad:
+            _accumulate(x, np.matmul(g, w.data.T), owned=True)
+        if w.requires_grad:
+            # one GEMM over the folded lead axes and steps
+            _accumulate(w, x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, d), owned=True)
 
-    return _record(out, (x, token), backward)
+    return _record(out, parents, backward)
 
 
 # graph_gru cuts its batch into contiguous ranges, one per CPU this process

@@ -107,6 +107,10 @@ def _write_manifest(out_dir, cfg, artifacts):
 def _load_dataset(data_dir, cfg):
     values, edges, meta = data_mod.dataset_paths(data_dir)
     dataset = data_mod.load_csv(values, edges, meta)
+    n_features = dataset.values.shape[-1]
+    if n_features != cfg.input_dim:
+        raise ValueError(f"dataset {data_dir} has n_features={n_features}, "
+                         f"but the config has input_dim={cfg.input_dim}")
     splits = data_mod.prepare_splits(dataset, cfg.history, cfg.horizon)
     return dataset, splits
 
@@ -183,6 +187,13 @@ def cmd_evaluate(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
     state = ModelState.load(args.checkpoint, args.model_manifest)
+    # the model scores only windows of the shape it was trained on
+    run = dataclasses.asdict(cfg.encoder_config(dataset.graph.n_nodes))
+    for key, value in dataclasses.asdict(state.config).items():
+        if value != run[key]:
+            source = "dataset" if key == "n_nodes" else "config"
+            raise ValueError(f"model manifest {args.model_manifest}: {key} is {value!r}, "
+                             f"but the run's {source} has {key}={run[key]!r}")
     report = test_report(cfg, splits, dataset.graph, state)
     _write_run(args.out, cfg, report=report)
     print(f"test MAE {report['overall']['mae']:.6f}")

@@ -68,8 +68,9 @@ def kernel_suite(seed=0):
             "wr": (5, 2), "br": (2,), "wc": (5, 2), "bc": (2,)}
     check("graph_gru-wide", wide, lambda p: ad.graph_gru(*(p[k] for k in wide)))
     # last, so the entries above keep their draws
-    check("mask_steps", {"x": (2, 4, 3, 2), "token": (2,)},
-          lambda p: ad.mask_steps(p["x"], [0, 2, 3], p["token"]))
+    embed = {"x": (2, 4, 3, 2), "w": (2, 3), "b": (3,), "token": (3,)}
+    check("masked_embed", embed,
+          lambda p: ad.masked_embed(p["x"], p["w"], p["b"], [0, 2, 3], p["token"]))
     return results
 
 

@@ -121,15 +121,16 @@ def step_mask(patch_mask, n_steps):
     return steps.astype(np.float64).reshape(n_steps, 1, 1)
 
 
-def apply_temporal_mask(x_emb, patch_mask, mask_token):
-    """Replace masked patches of an embedded window with the shared token.
+def apply_temporal_mask(x, patch_mask, w, b, mask_token):
+    """Embed a window and replace its masked patches with the shared token.
 
-    ``x_emb`` has shape [..., H, N, D]; the token (shape [D]) is written
-    into every masked position by one ``mask_steps`` kernel, so its gradient
-    comes only from masked patches.
+    ``x`` has shape [..., H, N, C]; one ``masked_embed`` kernel writes
+    x W + b and then the token (shape [D]) into every step of a masked
+    patch, so the token's gradient comes only from masked patches and no
+    unmasked copy of the embedding is kept.
     """
-    h = x_emb.shape[-3]
+    h = x.shape[-3]
     n_patches = len(patch_mask)
     if h % n_patches != 0:
         raise ad.ShapeError(f"apply_temporal_mask: history {h} not divisible into {n_patches} patches")
-    return ad.mask_steps(x_emb, np.flatnonzero(step_mask(patch_mask, h)), mask_token)
+    return ad.masked_embed(x, w, b, np.flatnonzero(step_mask(patch_mask, h)), mask_token)

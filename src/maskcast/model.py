@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import adaptive_adjacency, normalize_adjacency, normalize_dense, sparsify_topk
-from .masking import apply_spatial_mask, edge_mask_matrix
+from .masking import apply_spatial_mask, apply_temporal_mask, edge_mask_matrix
 
 
 @dataclass
@@ -87,9 +87,14 @@ class ModelState:
         return state
 
 
-def embed_input(x, params):
-    """Per-position affine map [..., H, N, C] -> [..., H, N, D]."""
-    return ad.add(ad.matmul(x, params["embed.w"]), params["embed.b"])
+def embed_input(x, params, patch_mask=None):
+    """Per-position affine map [..., H, N, C] -> [..., H, N, D]. Given a
+    patch mask with a masked patch, the steps of masked patches hold the
+    mask token instead, written by the same kernel (``apply_temporal_mask``)."""
+    w, b = params["embed.w"], params["embed.b"]
+    if patch_mask is not None and patch_mask.any():
+        return apply_temporal_mask(x, patch_mask, w, b, params["mask_token"])
+    return ad.masked_embed(x, w, b)
 
 
 def encoder_forward(x_emb, adjacency, params):

@@ -14,8 +14,7 @@ from . import masking
 from .data import stack_windows
 from .evaluation import metrics
 from .graph import WalkConfig
-from .masking import (apply_temporal_mask, sample_temporal_mask,
-                      sample_uniform_spatial_mask, step_mask)
+from .masking import sample_temporal_mask, sample_uniform_spatial_mask, step_mask
 from .model import (EncoderConfig, ModelState, embed_input, encoder_forward,
                     forecast, mask_sampling_graph, model_adjacency,
                     spatial_decoder, temporal_decoder)
@@ -231,9 +230,7 @@ def sample_negative_edges(mask_graph, count, rng):
 def pretrain_forward(x_batch, g, state, cfg, plan, negative_edges=None, mask_graph=None):
     """Masked forward pass; returns (total, spatial, temporal) loss tensors."""
     params = state.params
-    x_emb = embed_input(Tensor(x_batch), params)
-    if plan.patch_mask.any():
-        x_emb = apply_temporal_mask(x_emb, plan.patch_mask, params["mask_token"])
+    x_emb = embed_input(Tensor(x_batch), params, plan.patch_mask)
     # the plan's edges were drawn from mask_graph, so they are removed from it
     adjacency = model_adjacency(mask_graph if mask_graph is not None else g, state,
                                 plan.masked_edges)

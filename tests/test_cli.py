@@ -3,8 +3,10 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
+from maskcast import data as data_mod
 from maskcast.cli import ConfigError, _write_json, load_config, main
 
 
@@ -258,6 +260,26 @@ class TestBadInput:
         assert message in err and f"line {n_lines}:" in err
 
 
+def two_feature_copy(data_dir, tmp_path):
+    """The dataset with its series repeated as a second, negated feature."""
+    dataset = data_mod.load_csv(*data_mod.dataset_paths(data_dir))
+    values = np.concatenate([dataset.values, -dataset.values], axis=-1)
+    out = tmp_path / "wide"
+    out.mkdir()
+    data_mod.save_csv(dataclasses.replace(dataset, values=values), *data_mod.dataset_paths(out))
+    return str(out)
+
+
+def test_feature_count_differs_from_input_dim(data_dir, tmp_path, capsys):
+    wide = two_feature_copy(data_dir, tmp_path)
+    argv = ["train", "--data", wide, "--out", str(tmp_path / "run"),
+            "--set", "pretrain_epochs=0", "--set", "finetune_epochs=0"]
+    assert main(argv) == 2
+    assert (f"dataset {wide} has n_features=2, but the config has input_dim=1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 def test_unwalkable_edge_stops_with_exit_two(data_dir, tmp_path, capsys):
     # a 6-cycle whose closing edge is far too light for any walk to take: at
     # p_s=1 the walk masker can never cover it, so the run stops at the cap on
@@ -282,9 +304,41 @@ class TestCheckpointChecks:
         assert main(["train", "--data", data_dir, "--out", str(out)] + FAST) == 0
         return out
 
-    def evaluate(self, data_dir, tmp_path, checkpoint, manifest):
+    def evaluate(self, data_dir, tmp_path, checkpoint, manifest, extra=()):
         return main(["evaluate", "--data", data_dir, "--out", str(tmp_path / "eval"),
-                     "--checkpoint", str(checkpoint), "--model-manifest", str(manifest)] + FAST)
+                     "--checkpoint", str(checkpoint), "--model-manifest", str(manifest)]
+                    + FAST + list(extra))
+
+    @pytest.mark.parametrize("override, message", [
+        ("history=6", "history is 12, but the run's config has history=6"),
+        ("horizon=6", "horizon is 12, but the run's config has horizon=6"),
+        ("hidden_dim=8", "hidden_dim is 4, but the run's config has hidden_dim=8"),
+        ("graph_mode=adaptive",
+         "graph_mode is 'predefined', but the run's config has graph_mode='adaptive'"),
+        ("node_embed_dim=3", "node_embed_dim is 8, but the run's config has node_embed_dim=3"),
+        ("topk=3", "topk is 8, but the run's config has topk=3"),
+    ], ids=["history", "horizon", "hidden_dim", "graph_mode", "node_embed_dim", "topk"])
+    def test_model_config_differs_from_the_run(self, data_dir, trained, tmp_path, capsys,
+                                               override, message):
+        assert self.evaluate(data_dir, tmp_path, trained / "checkpoint.json",
+                             trained / "model.json", ["--set", override]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
+    def test_model_node_count_differs_from_the_dataset(self, trained, tmp_path, capsys):
+        other = tmp_path / "five"
+        assert main(["generate", "--out", str(other), "--nodes", "5", "--steps", "240"]) == 0
+        assert self.evaluate(str(other), tmp_path, trained / "checkpoint.json",
+                             trained / "model.json") == 2
+        assert "n_nodes is 6, but the run's dataset has n_nodes=5" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
+    def test_model_input_dim_differs_from_the_run(self, data_dir, trained, tmp_path, capsys):
+        wide = two_feature_copy(data_dir, tmp_path)
+        assert self.evaluate(wide, tmp_path, trained / "checkpoint.json", trained / "model.json",
+                             ["--set", "input_dim=2"]) == 2
+        assert "input_dim is 1, but the run's config has input_dim=2" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
     def test_unknown_manifest_key(self, data_dir, trained, tmp_path, capsys):
         manifest = json.loads((trained / "model.json").read_text())

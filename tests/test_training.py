@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from maskcast import autodiff as ad
 from maskcast import masking, training
 from maskcast.autodiff import Adam, Tensor
 from maskcast.data import prepare_splits, stack_windows, synthesize
-from maskcast.model import (ModelState, embed_input, encoder_forward,
+from maskcast.model import (ModelState, encoder_forward,
                             mask_sampling_graph, model_adjacency, spatial_decoder,
                             temporal_decoder)
 from maskcast.seeding import stream
@@ -260,6 +262,32 @@ class TestPretrainForward:
         assert (state.params["mask_token"].grad == 0).all()
         assert (state.params["temporal_decoder.w"].grad == 0).all()
 
+    def test_one_embedded_array_alive_at_the_encoder(self, monkeypatch):
+        # when the encoder starts, the embedded and masked window is one
+        # [B, H, N, D] array; the tape holds nothing else of that size
+        g = random_graph(10, 20, seed=2)
+        cfg = RunConfig(history=12, horizon=3, patch_length=3, hidden_dim=16)
+        state = init_state(cfg, g)
+        plan = masking.MaskPlan(masked_edges={g.edges[0][:2]},
+                                patch_mask=np.array([True, False, True, False]),
+                                p_s=cfg.p_s, p_t=cfg.p_t, patch_length=3)
+        x = np.random.default_rng(0).normal(size=(8, 12, 10, 1))
+        live = []
+        graph_gru = ad.graph_gru
+
+        def at_entry(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return graph_gru(*args)
+
+        monkeypatch.setattr(ad, "graph_gru", at_entry)
+        tracemalloc.start()
+        try:
+            pretrain_forward(x, g, state, cfg, plan)
+        finally:
+            tracemalloc.stop()
+        one = x.size * cfg.hidden_dim * 8
+        assert one <= live[0] <= one + one // 4
+
     def test_total_combines_terms(self):
         x, g, state, cfg, plan = self._setup("full")
         cfg.lam = 2.0
@@ -271,12 +299,13 @@ class TestPretrainForward:
 class TestPretrainForwardBits:
     """pretrain_forward against the chain it replaced, built from the older
     kernels: the full [B, N, N] sigmoid, gather_flat and tlog of the
-    gathered probabilities, and the patch mask as x (1 - m) + token m."""
+    gathered probabilities, and the embedding as matmul and add followed by
+    the patch mask as x (1 - m) + token m."""
 
     @staticmethod
     def chain_forward(x_batch, g, state, cfg, plan, negative_edges, mask_graph):
         params = state.params
-        x_emb = embed_input(Tensor(x_batch), params)
+        x_emb = ad.add(ad.matmul(Tensor(x_batch), params["embed.w"]), params["embed.b"])
         if plan.patch_mask.any():
             fill = masking.step_mask(plan.patch_mask, cfg.history)
             x_emb = ad.add(ad.mul(x_emb, Tensor(1.0 - fill)),
