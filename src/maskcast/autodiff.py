@@ -328,6 +328,19 @@ def tlog(a):
     return _record(out, (a,), backward)
 
 
+def softplus(a):
+    """log(1 + exp(x)) elementwise, finite for every finite x."""
+    with np.errstate(invalid="ignore"):  # a NaN input gives NaN, as in every other kernel
+        y = np.logaddexp(0.0, a.data)
+    out = Tensor(y)
+
+    def backward(g):
+        # sigmoid(x) = exp(x - softplus(x)), which cannot overflow
+        _accumulate(a, g * np.exp(a.data - y), owned=True)
+
+    return _record(out, (a,), backward)
+
+
 def transpose(a, axes):
     out = Tensor(np.transpose(a.data, axes))
     inv = np.argsort(axes)
@@ -348,55 +361,6 @@ def reshape(a, shape):
         _accumulate(a, g.reshape(a.shape), owned=True)
 
     return _record(out, (a,), backward)
-
-
-def masked_embed(x, w, b, steps=(), token=None):
-    """x W + b for a window ``x`` [..., H, N, C], ``w`` [C, D] and ``b`` [D],
-    with the history steps listed in ``steps`` (distinct, ascending) then
-    overwritten by ``token`` [D] at every node, all in one output array.
-
-    The result and every gradient have the bits of add(matmul(x, w), b)
-    followed by a copy with the token written into the masked steps, which
-    has the bits of e (1 - m) + token m for a 0/1 step indicator m [H, 1, 1],
-    for finite nonzero values. Backward takes the token's gradient from the
-    upstream gradient over the masked steps (lead axes, then nodes, then
-    steps), multiplies those steps of the upstream gradient by 0.0 in place,
-    and then takes the gradients of b, x and w from it as add's and matmul's
-    backward do. Only the one output is kept, where that chain kept three.
-    """
-    steps = np.asarray(steps, dtype=np.int64)
-    if (x.data.ndim < 3 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
-            or b.shape != w.shape[1:] or (token is not None and token.shape != b.shape)
-            or steps.ndim != 1
-            or (steps.size and (token is None or steps.min() < 0 or steps.max() >= x.shape[-3]))):
-        _shape_fail("masked_embed", x.shape, w.shape, b.shape, steps.shape,
-                    () if token is None else token.shape)
-    h, d = x.shape[-3], w.shape[1]
-    y = np.matmul(x.data, w.data)
-    y += b.data
-    parents = (x, w, b)
-    if steps.size:
-        y[..., steps, :, :] = token.data
-        parents += (token,)
-    out = Tensor(y)
-
-    def backward(g):
-        if steps.size:
-            if token.requires_grad:
-                per_step = np.zeros((h, 1, d))
-                per_step[steps] = _unbroadcast(g[..., steps, :, :], (len(steps), 1, d))
-                _accumulate(token, per_step.sum(axis=(0, 1)), owned=True)
-            # g is this node's own upstream gradient, dropped after this closure
-            g[..., steps, :, :] *= 0.0
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape), owned=True)
-        if x.requires_grad:
-            _accumulate(x, np.matmul(g, w.data.T), owned=True)
-        if w.requires_grad:
-            # one GEMM over the folded lead axes and steps
-            _accumulate(w, x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, d), owned=True)
-
-    return _record(out, parents, backward)
 
 
 # graph_gru cuts its batch into contiguous ranges, one per CPU this process
@@ -462,89 +426,133 @@ def _run_ranges(jobs, threads):
     return results
 
 
-def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
-    """Graph-convolutional GRU over the history axis, as one kernel.
+def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), token=None):
+    """Input embedding, patch mask and graph-convolutional GRU over the
+    history axis, as one kernel.
 
-    The DCRNN recurrence (Li et al., ICLR 2018) with one propagation hop.
-    ``x_emb`` is [..., H, N, C], ``adjacency`` [N, N], the gate weights
-    [C + D, D] and biases [D]. From h = 0, each step t computes
+    The DCRNN recurrence (Li et al., ICLR 2018) with one propagation hop,
+    on an embedded window. ``x`` is the raw window [..., H, N, C],
+    ``embed_w`` [C, E] and ``embed_b`` [E], ``adjacency`` [N, N], the gate
+    weights [E + D, D] and biases [D]. Step t's embedding is
+    e_t = x_t W_e + 1 b_e^T, except on the masked history steps listed in
+    ``steps``, where it is 1 token^T for ``token`` [E]. From h = 0, each
+    step computes
 
-        u, r = sigmoid([A x_t, A h] [Wu|Wr] + [bu|br])
-        c = tanh([A x_t, A (r h)] Wc + bc)
+        u, r = sigmoid([A e_t, A h] [Wu|Wr] + [bu|br])
+        c = tanh([A e_t, A (r h)] Wc + bc)
         h = u h + (1 - u) c
 
-    and the final h [..., N, D] is returned. A x is taken for all H steps
-    in one product before the loop, so each step multiplies A only by h and
-    by r h: 2D columns per step, not 2(C + D). Both gate inputs reuse one
-    buffer whose x-half holds A x_t, and each gate GEMM contracts over all
-    C + D rows at once; this keeps the output bitwise equal to multiplying
-    A by the concatenated [x_t, h] (a split into two K-halves would not).
-    The update and reset gates are one GEMM on [Wu|Wr], built per call, so
+    and the final h [..., N, D] is returned.
+
+    The embedding is affine, so A e_t = (A x_t) W_e + (A 1) b_e^T, and on a
+    masked step A e_t = (A 1) token^T: A need never multiply an E-channel
+    array. The window is lifted to K = C + 1 channels, C + 2 with masked
+    steps: a kept step holds [x_t, 1, 0], a masked one [0, 0, 1]. With
+    M = [W_e; b_e^T; token^T] [K, E], e_t = l_t M, and A l is taken for all
+    H steps in one product before the loop, at K columns. Each step writes
+    its x-half (A l_t) M with one GEMM into the buffer whose h-half holds
+    A h, then A (r h), so a step multiplies A only by h and by r h, 2D
+    columns. Each gate GEMM contracts over all E + D rows at once, which
+    keeps the output on an embedded window (W_e = I, b_e = 0, no masked
+    step) bitwise equal to multiplying A by the concatenated [e_t, h]; a
+    split into two K-halves would not. The update and reset gates are one GEMM on [Wu|Wr], built per call, so
     checkpoints keep the three separate gate weights.
 
     Backward is one reverse-time loop that applies A^T only to the h-side
-    gradients, D columns each. After it, the x-side gradient A^T (dpre W_x^T)
-    and the weight gradients, from the cached A x, A h and A (r h), are one
-    GEMM each. A learned adjacency adds one [N, N] product per A product
-    and step. The x-side gradient is written straight into ``x_emb``'s
-    layout and handed over as its gradient, with no copy.
+    gradients, D columns each, and leaves the pre-activation gradients
+    dpre. Every x-side gradient then comes from whole-array reductions
+    over dpre at K columns. With W_x the gate weights' first E rows,
+    P = (A l)^T dpre [K, 3D] stacks three of them: (A x)^T dpre over the
+    kept steps, the (A 1)-weighted sum of dpre over the kept steps and the
+    same sum over the masked steps. The gate weights' x-rows get
+    M^T P = W_e^T P_x + b_e P_b + token P_m, and M gets P W_x^T: the
+    gradients of W_e, b_e and the token. A learned adjacency's x-side term
+    is sum_t (dpre_t (M W_x)^T) l_t^T, which is (dpre (W_e W_x)^T) x^T plus
+    (dpre W_x^T b_e, or token) 1^T, one product over all steps; a gradient
+    for ``x`` itself is A^T (dpre (W_e W_x)^T) on the kept steps and 0 on
+    the masked ones. The h-rows' gradients come from the cached A h and
+    A (r h), one GEMM each, and a learned adjacency adds one [N, N] product
+    per A product and step. Neither pass makes an [..., H, N, E] array.
 
     The lead axes are flattened into one batch axis, whose items never
     interact. The batch is cut into contiguous ranges, one per CPU in the
     process's affinity mask, when each range keeps enough work per step;
-    a single window is never cut. Each range runs the A x product, the
-    forward recurrence, the reverse-time loop and the A^T product of the
-    x-side gradient on its own rows, in preallocated buffers, so the
+    a single window is never cut. Each range runs the A l product, the
+    forward recurrence, the reverse-time loop and the A^T product of an
+    ``x`` gradient on its own rows, in preallocated buffers, so the
     threads allocate nothing large. The products after the reverse loop
-    that sum over the batch (the weight GEMMs, the bias GEMV, dpre W_x^T
-    and the learned adjacency's [N, N] terms) are jobs on the same threads:
-    each is whole, one numpy call, never split by rows, and the calling
-    thread adds the adjacency terms up in a fixed order once the jobs have
-    joined. The adjacency terms that read the recurrence caches run first,
-    and the caches are freed before dpre W_x^T is allocated. Outputs and
-    gradients are therefore bitwise the same for any number of ranges, so
-    for any number of CPUs. Under a multi-threaded BLAS, its own thread
-    pool shares the same cores.
+    that sum over the batch (the weight GEMMs, the bias GEMV, the x-side
+    reductions and the learned adjacency's [N, N] terms) are jobs on the
+    same threads: each is whole, one numpy call, never split by rows, and
+    the calling thread adds the adjacency terms up in a fixed order once
+    the jobs have joined. The adjacency terms that read the recurrence
+    caches run first, and the caches are freed before the x-side
+    reductions. Outputs and gradients are therefore bitwise the same for
+    any number of ranges, so for any number of CPUs. Under a multi-threaded
+    BLAS, its own thread pool shares the same cores.
 
     The per-step activations are cached only when some input requires grad;
     a forward-only call writes every step into the same one-step buffers,
     which leaves its output bitwise unchanged.
     """
-    x, a = x_emb.data, adjacency.data
-    if x.ndim < 3 or a.shape != (x.shape[-2],) * 2:
-        _shape_fail("graph_gru", x_emb.shape, adjacency.shape)
-    steps, n, cx, d = x.shape[-3], x.shape[-2], x.shape[-1], wu.shape[-1]
-    for w, b in ((wu, bu), (wr, br), (wc, bc)):
+    xd, a = x.data, adjacency.data
+    steps = np.asarray(steps, dtype=np.int64)
+    masked = steps.size > 0
+    if (xd.ndim < 3 or embed_w.data.ndim != 2 or embed_w.shape[0] != xd.shape[-1]
+            or embed_b.shape != embed_w.shape[1:] or a.shape != (xd.shape[-2],) * 2
+            or steps.ndim != 1
+            or (masked and (token is None or token.shape != embed_b.shape
+                            or steps.min() < 0 or steps.max() >= xd.shape[-3]))):
+        _shape_fail("graph_gru", x.shape, embed_w.shape, embed_b.shape, adjacency.shape,
+                    steps.shape, () if token is None else token.shape)
+    hist, n, c_in = xd.shape[-3:]
+    cx, d = embed_w.shape[1], wu.shape[-1]
+    gates = ((wu, bu), (wr, br), (wc, bc))
+    for w, b in gates:
         if w.shape != (cx + d, d) or b.shape != (d,):
-            _shape_fail("graph_gru", x_emb.shape, w.shape, b.shape)
-    lead = x.shape[:-3]
+            _shape_fail("graph_gru", embed_w.shape, w.shape, b.shape)
+    lead = xd.shape[:-3]
     batch = int(np.prod(lead, dtype=np.int64))
     ranges = _batch_ranges(batch, n * d)
     w_ur = np.concatenate([wu.data, wr.data], axis=1)
     b_ur = np.concatenate([bu.data, br.data])
     w_c, b_c = wc.data, bc.data
+    parents = (x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc)
+    if masked:
+        parents += (token,)
     # per-step activations [steps, B, N, D], stacked over all H steps when
     # backward will read them and over one reused step otherwise
-    taped = any(t.requires_grad for t in (x_emb, adjacency, wu, bu, wr, br, wc, bc))
-    x_steps = x.reshape((batch,) + x.shape[-3:]).swapaxes(0, 1)  # [H, B, N, C]
-    ax = np.empty(x_steps.shape)
-    hs = np.empty((steps, batch, n, d)) if taped else None
-    ahs, arhs, us, rs, cs = (np.empty((steps if taped else 1, batch, n, d)) for _ in range(5))
+    taped = any(t.requires_grad for t in parents)
+    # the lifted window l [H, B, N, K] and M [K, E], so that e_t = l_t M
+    k = c_in + 1 + masked
+    lift = np.empty((hist, batch, n, k))
+    lift[..., :c_in] = xd.reshape((batch,) + xd.shape[-3:]).swapaxes(0, 1)
+    lift[..., c_in] = 1.0
+    rows = [embed_w.data, embed_b.data[None]]
+    if masked:
+        lift[..., c_in + 1] = 0.0
+        lift[steps] = 0.0
+        lift[steps, ..., c_in + 1] = 1.0
+        rows.append(token.data[None])
+    m_emb = np.concatenate(rows)
+    al = np.empty(lift.shape)
+    hs = np.empty((hist, batch, n, d)) if taped else None
+    ahs, arhs, us, rs, cs = (np.empty((hist if taped else 1, batch, n, d)) for _ in range(5))
     h_out = np.empty((batch, n, d))
-    conv_ws = np.empty((batch, n, cx + d))  # [A x_t, A h], then [A x_t, A (r h)]
+    conv_ws = np.empty((batch, n, cx + d))  # [A e_t, A h], then [A e_t, A (r h)]
     gate_ws = np.empty((batch, n, 2 * d))
     tmp_ws = np.empty((batch, n, d))
 
     def forward_rows(lo, hi):
-        np.matmul(a, x_steps[:, lo:hi], out=ax[:, lo:hi])
+        np.matmul(a, lift[:, lo:hi], out=al[:, lo:hi])
         conv, e, tmp, h = conv_ws[lo:hi], gate_ws[lo:hi], tmp_ws[lo:hi], h_out[lo:hi]
         h.fill(0.0)
-        for t in range(steps):
-            k = t if taped else 0
-            ah, arh, u, r, c = (buf[k, lo:hi] for buf in (ahs, arhs, us, rs, cs))
+        for t in range(hist):
+            i = t if taped else 0
+            ah, arh, u, r, c = (buf[i, lo:hi] for buf in (ahs, arhs, us, rs, cs))
             if taped:
                 hs[t, lo:hi] = h
-            conv[..., :cx] = ax[t, lo:hi]
+            np.matmul(al[t, lo:hi], m_emb, out=conv[..., :cx])
             conv[..., cx:] = np.matmul(a, h, out=ah)
             np.matmul(conv, w_ur, out=e)
             e += b_ur
@@ -563,6 +571,8 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
 
     _run_ranges([partial(forward_rows, lo, hi) for lo, hi in ranges], len(ranges))
     conv_ws = gate_ws = tmp_ws = None
+    if not adjacency.requires_grad:  # only a learned adjacency's gradient reads it
+        lift = None
     out = Tensor(h_out.reshape(lead + (n, d)))
 
     def backward(g):
@@ -572,13 +582,13 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
         wc_h = w_c[cx:].T
         g = g.reshape(batch, n, d)
         # pre-activation gradients [update | reset | candidate], per step
-        dpre = np.empty((steps, batch, n, 3 * d))
+        dpre = np.empty((hist, batch, n, 3 * d))
         work = np.empty((4, batch, n, d))
 
         def reverse_rows(lo, hi):
             s1, s2, *spare = work[:, lo:hi]
             dh = g[lo:hi]
-            for i, t in enumerate(reversed(range(steps))):
+            for i, t in enumerate(reversed(range(hist))):
                 h_prev, u, r, c = hs[t, lo:hi], us[t, lo:hi], rs[t, lo:hi], cs[t, lo:hi]
                 dp = dpre[t, lo:hi]
                 dh_prev = np.multiply(dh, u, out=spare[i % 2])
@@ -616,53 +626,56 @@ def graph_gru(x_emb, adjacency, wu, bu, wr, br, wc, bc):
             def rh_term(t):
                 return np.tensordot(cs[t], np.multiply(rs[t], hs[t], out=rs[t]), axes=axes)
 
-            jobs = [job for t in reversed(range(steps))
+            jobs = [job for t in reversed(range(hist))
                     for job in (partial(rh_term, t), partial(np.tensordot, us[t], hs[t], axes=axes))]
             da = np.zeros_like(a)
             for term in _run_ranges(jobs, threads):
                 da += term
-        # the last readers of these caches are done: freeing them, and the
-        # jobs that hold views of them, before dax is allocated keeps the two
-        # from being held at once
+        # the last readers of these caches are done
         hs = us = rs = cs = jobs = None
         flat = dpre.reshape(-1, 3 * d)
+        w_x = np.concatenate([w_ur[:cx], w_c[:cx]], axis=1)  # [E, 3D]
         dw = np.empty((cx + d, 3 * d))
-        jobs = [partial(np.matmul, ax.reshape(-1, cx).T, flat, out=dw[:cx]),
-                partial(np.matmul, ahs.reshape(-1, d).T, flat[:, :2 * d], out=dw[cx:, :2 * d]),
+        jobs = [partial(np.matmul, ahs.reshape(-1, d).T, flat[:, :2 * d], out=dw[cx:, :2 * d]),
                 partial(np.matmul, arhs.reshape(-1, d).T, flat[:, 2 * d:], out=dw[cx:, 2 * d:]),
+                partial(np.matmul, al.reshape(-1, k).T, flat),  # P
                 # a GEMV: numpy's column sum walks row by row
                 partial(np.matmul, np.ones(len(flat)), flat)]
-        need_dax = x_emb.requires_grad or da is not None
-        if need_dax:  # the longest job, so it starts first
-            jobs.insert(0, partial(np.matmul, flat, np.concatenate([w_ur[:cx], w_c[:cx]], axis=1).T))
-        results = _run_ranges(jobs, threads)
-        db = results[-1]
+        if x.requires_grad or da is not None:
+            # dL/d(A l) = dpre (M W_x)^T
+            jobs.append(partial(np.matmul, flat, (m_emb @ w_x).T))
+        _, _, p, db, *dal = _run_ranges(jobs, threads)
+        np.matmul(m_emb.T, p, out=dw[:cx])
+        dm = p @ w_x.T  # rows: W_e, b_e, then the token
         jobs = []
-        if need_dax:
-            dax = results[0].reshape(ax.shape)
+        if dal:
+            dal = dal[0].reshape(al.shape)
             if da is not None:
-                jobs += [partial(np.tensordot, dax[t], x_steps[t], axes=axes) for t in range(steps)]
-            if x_emb.requires_grad:
-                # written straight into x_emb's [..., H, N, C] layout
-                dx = np.empty(x.shape)
-                dx_steps = dx.reshape((batch,) + x.shape[-3:]).swapaxes(0, 1)
-                jobs += [partial(np.matmul, a_t, dax[:, lo:hi], out=dx_steps[:, lo:hi])
+                jobs.append(partial(np.tensordot, dal.reshape(-1, n, k), lift.reshape(-1, n, k),
+                                    axes=([0, 2], [0, 2])))
+            if x.requires_grad:
+                # written straight into x's [..., H, N, C] layout
+                dx = np.empty(xd.shape)
+                dx_steps = dx.reshape((batch,) + xd.shape[-3:]).swapaxes(0, 1)
+                jobs += [partial(np.matmul, a_t, dal[:, lo:hi, :, :c_in], out=dx_steps[:, lo:hi])
                          for lo, hi in ranges]
         results = _run_ranges(jobs, threads)
-        if x_emb.requires_grad:
-            _accumulate(x_emb, dx, owned=True)
+        if x.requires_grad:
+            dx_steps[steps] = 0.0
+            _accumulate(x, dx, owned=True)
         if da is not None:
-            for term in results[:steps]:
-                da += term
+            da += results[0]
             _accumulate(adjacency, da, owned=True)
-        for i, (w, b) in enumerate(((wu, bu), (wr, br), (wc, bc))):
+        grads = [(embed_w, dm[:c_in]), (embed_b, dm[c_in])]
+        if masked:
+            grads.append((token, dm[c_in + 1]))
+        for i, (w, b) in enumerate(gates):
             cols = slice(i * d, (i + 1) * d)
-            if w.requires_grad:
-                _accumulate(w, dw[:, cols])
-            if b.requires_grad:
-                _accumulate(b, db[cols])
+            grads += [(w, dw[:, cols]), (b, db[cols])]
+        for t, grad in grads:
+            _accumulate(t, grad)
 
-    return _record(out, (x_emb, adjacency, wu, bu, wr, br, wc, bc), backward)
+    return _record(out, parents, backward)
 
 
 # ---------------------------------------------------------------------------

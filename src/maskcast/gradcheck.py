@@ -60,17 +60,29 @@ def kernel_suite(seed=0):
     check("log", {"a": (3, 3)}, lambda p: ad.tlog(p["a"]), low=0.2, high=2.0)
     check("transpose", {"a": (2, 3, 4)}, lambda p: ad.transpose(p["a"], (2, 0, 1)))
     check("reshape", {"a": (3, 4)}, lambda p: ad.reshape(p["a"], (2, 6)))
-    gru = {"x": (2, 3, 3, 2), "adj": (3, 3), "wu": (4, 2), "bu": (2,),
-           "wr": (4, 2), "br": (2,), "wc": (4, 2), "bc": (2,)}
-    check("graph_gru", gru, lambda p: ad.graph_gru(*(p[k] for k in gru)))
-    # input width C = 3 against hidden width D = 2; last, so the entries above keep their draws
-    wide = {"x": (2, 3, 3, 3), "adj": (3, 3), "wu": (5, 2), "bu": (2,),
-            "wr": (5, 2), "br": (2,), "wc": (5, 2), "bc": (2,)}
-    check("graph_gru-wide", wide, lambda p: ad.graph_gru(*(p[k] for k in wide)))
-    # last, so the entries above keep their draws
-    embed = {"x": (2, 4, 3, 2), "w": (2, 3), "b": (3,), "token": (3,)}
-    check("masked_embed", embed,
-          lambda p: ad.masked_embed(p["x"], p["w"], p["b"], [0, 2, 3], p["token"]))
+    check("softplus", {"a": (3, 3)}, lambda p: ad.softplus(p["a"]))
+
+    # input width C against hidden width D, history steps masked with a
+    # token; without a fixed adjacency, a learned one
+    def gru(name, c, d, steps, adjacency=None):
+        shapes = {"x": (2, 4, 3, c), "we": (c, d), "be": (d,), "token": (d,)}
+        if adjacency is None:
+            shapes["adj"] = (3, 3)
+        for gate in "urc":
+            shapes.update({f"w{gate}": (2 * d, d), f"b{gate}": (d,)})
+
+        def build(p):
+            adj = p["adj"] if adjacency is None else adjacency
+            return ad.graph_gru(p["x"], p["we"], p["be"], adj,
+                                *(p[f"{k}{gate}"] for gate in "urc" for k in "wb"),
+                                steps, p["token"])
+
+        check(name, shapes, build)
+
+    gru("graph_gru", 2, 3, [0, 1])
+    gru("graph_gru-wide", 3, 2, [2])
+    gru("graph_gru-fixed", 2, 3, [1, 3], Tensor(rng.uniform(0.0, 0.6, size=(3, 3))))
+    gru("graph_gru-unmasked", 1, 2, [])
     return results
 
 

@@ -121,16 +121,13 @@ def step_mask(patch_mask, n_steps):
     return steps.astype(np.float64).reshape(n_steps, 1, 1)
 
 
-def apply_temporal_mask(x, patch_mask, w, b, mask_token):
-    """Embed a window and replace its masked patches with the shared token.
-
-    ``x`` has shape [..., H, N, C]; one ``masked_embed`` kernel writes
-    x W + b and then the token (shape [D]) into every step of a masked
-    patch, so the token's gradient comes only from masked patches and no
-    unmasked copy of the embedding is kept.
-    """
+def apply_temporal_mask(x, patch_mask):
+    """The history steps of a window ``x`` [..., H, N, C] that fall in the
+    masked patches of ``patch_mask``, ascending. The encoder
+    (``autodiff.graph_gru``) embeds those steps as the shared mask token,
+    so the token's gradient comes only from masked patches."""
     h = x.shape[-3]
     n_patches = len(patch_mask)
     if h % n_patches != 0:
         raise ad.ShapeError(f"apply_temporal_mask: history {h} not divisible into {n_patches} patches")
-    return ad.masked_embed(x, w, b, np.flatnonzero(step_mask(patch_mask, h)), mask_token)
+    return np.flatnonzero(step_mask(patch_mask, h))

@@ -1,11 +1,11 @@
 """Compact spatial-temporal forecaster.
 
-Input embedding, a single-layer graph-convolutional GRU encoder, an MLP
-predictor, and the two pretraining decoders (adjacency head and window
-reconstruction head). Also the propagation matrix, with or without masked
-edges, and the graph edge masks are drawn from, for both graph modes. All
-forward math runs on autodiff tensors; batched inputs [B, H, N, C] and
-single windows [H, N, C] are both accepted.
+A single-layer graph-convolutional GRU encoder with the input embedding
+inside it, an MLP predictor, and the two pretraining decoders (adjacency
+head and window reconstruction head). Also the propagation matrix, with
+or without masked edges, and the graph edge masks are drawn from, for
+both graph modes. All forward math runs on autodiff tensors; batched
+inputs [B, H, N, C] and single windows [H, N, C] are both accepted.
 """
 
 import json
@@ -87,26 +87,32 @@ class ModelState:
         return state
 
 
-def embed_input(x, params, patch_mask=None):
-    """Per-position affine map [..., H, N, C] -> [..., H, N, D]. Given a
-    patch mask with a masked patch, the steps of masked patches hold the
-    mask token instead, written by the same kernel (``apply_temporal_mask``)."""
+def embed_input(x, params, patch_mask):
+    """The input embedding's arguments of ``autodiff.graph_gru``, which
+    embeds the window ``x`` [..., H, N, C] as x W + b inside the encoder:
+    ``embed.w``, ``embed.b``, and the masked history steps with the mask
+    token that replaces their embedding. Given no patch mask, or one with
+    no masked patch, no step is masked; otherwise ``apply_temporal_mask``
+    gives the steps."""
     w, b = params["embed.w"], params["embed.b"]
     if patch_mask is not None and patch_mask.any():
-        return apply_temporal_mask(x, patch_mask, w, b, params["mask_token"])
-    return ad.masked_embed(x, w, b)
+        return w, b, apply_temporal_mask(x, patch_mask), params["mask_token"]
+    return w, b, (), None
 
 
-def encoder_forward(x_emb, adjacency, params):
-    """Gated graph-convolutional recurrence over the history axis.
+def encoder_forward(x, adjacency, params, patch_mask=None):
+    """Embed the window ``x`` [..., H, N, C], with the steps of masked
+    patches holding the mask token, and run the gated graph-convolutional
+    recurrence over the history axis, all in one ``graph_gru`` kernel.
 
     ``adjacency`` is the propagation matrix ``model_adjacency`` builds.
     Returns the final hidden state [..., N, D].
     """
-    return ad.graph_gru(x_emb, adjacency,
+    w, b, steps, token = embed_input(x, params, patch_mask)
+    return ad.graph_gru(x, w, b, adjacency,
                         params["encoder.update.w"], params["encoder.update.b"],
                         params["encoder.reset.w"], params["encoder.reset.b"],
-                        params["encoder.cand.w"], params["encoder.cand.b"])
+                        params["encoder.cand.w"], params["encoder.cand.b"], steps, token)
 
 
 def spatial_decoder(s, params):
@@ -173,5 +179,5 @@ def mask_sampling_graph(g, state):
 def forecast(x, g, state):
     """Full-visibility forward pass on a window array: embed, encode, predict."""
     adjacency = model_adjacency(g, state)
-    s = encoder_forward(embed_input(Tensor(x), state.params), adjacency, state.params)
+    s = encoder_forward(Tensor(x), adjacency, state.params)
     return predictor(s, state.config, state.params)

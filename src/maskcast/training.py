@@ -15,7 +15,7 @@ from .data import stack_windows
 from .evaluation import metrics
 from .graph import WalkConfig
 from .masking import sample_temporal_mask, sample_uniform_spatial_mask, step_mask
-from .model import (EncoderConfig, ModelState, embed_input, encoder_forward,
+from .model import (EncoderConfig, ModelState, encoder_forward,
                     forecast, mask_sampling_graph, model_adjacency,
                     spatial_decoder, temporal_decoder)
 from .seeding import stream
@@ -124,31 +124,35 @@ def loss_spatial(a_hat, masked_edges, negative_edges=None, logits=False):
     ``a_hat`` may be [N, N] or batched [B, N, N]; batched entries average
     over the batch too. With negatives supplied, non-edges contribute
     -log(1 - A_hat) and the mean runs over both sets. With ``logits``,
-    ``a_hat`` holds logits and A_hat is their sigmoid, taken only at the
-    gathered pairs; its values are the bits of the full matrix's sigmoid.
+    ``a_hat`` holds logits x and A_hat is sigmoid(x): the terms are
+    softplus(-x) and softplus(x) of the gathered pairs, finite at any
+    finite logit.
     """
     if not masked_edges:
         return Tensor(0.0)
     n = a_hat.shape[-1]
     batch = int(np.prod(a_hat.shape[:-2])) if len(a_hat.shape) > 2 else 1
 
-    def flat_indices(pairs):
+    def picked(pairs):
         # sorted pairs, each as (min, max), repeated per batch item
         lo_hi = np.sort(np.asarray(sorted(pairs), dtype=np.int64), axis=1)
         within = lo_hi[:, 0] * n + lo_hi[:, 1]
-        return (np.arange(batch, dtype=np.int64)[:, None] * (n * n) + within).reshape(-1)
+        flat = (np.arange(batch, dtype=np.int64)[:, None] * (n * n) + within).reshape(-1)
+        return ad.gather_flat(a_hat, flat)
 
-    def probabilities(pairs):
-        picked = ad.gather_flat(a_hat, flat_indices(pairs))
-        return ad.sigmoid(picked) if logits else picked
-
-    pos = ad.tsum(ad.tlog(probabilities(masked_edges)))
-    count = batch * len(masked_edges)
-    if negative_edges:
-        neg = ad.tsum(ad.tlog(ad.sub(Tensor(1.0), probabilities(negative_edges))))
-        pos = ad.add(pos, neg)
-        count += batch * len(negative_edges)
-    return ad.scale(pos, -1.0 / count)
+    if logits:
+        # -log sigmoid(x) = softplus(-x) and -log(1 - sigmoid(x)) = softplus(x)
+        total = ad.tsum(ad.softplus(ad.scale(picked(masked_edges), -1.0)))
+        if negative_edges:
+            total = ad.add(total, ad.tsum(ad.softplus(picked(negative_edges))))
+        sign = 1.0
+    else:
+        total = ad.tsum(ad.tlog(picked(masked_edges)))
+        if negative_edges:
+            total = ad.add(total, ad.tsum(ad.tlog(ad.sub(Tensor(1.0), picked(negative_edges)))))
+        sign = -1.0
+    count = batch * (len(masked_edges) + len(negative_edges or ()))
+    return ad.scale(total, sign / count)
 
 
 def loss_temporal(x_hat, x, patch_mask):
@@ -230,11 +234,10 @@ def sample_negative_edges(mask_graph, count, rng):
 def pretrain_forward(x_batch, g, state, cfg, plan, negative_edges=None, mask_graph=None):
     """Masked forward pass; returns (total, spatial, temporal) loss tensors."""
     params = state.params
-    x_emb = embed_input(Tensor(x_batch), params, plan.patch_mask)
     # the plan's edges were drawn from mask_graph, so they are removed from it
     adjacency = model_adjacency(mask_graph if mask_graph is not None else g, state,
                                 plan.masked_edges)
-    s = encoder_forward(x_emb, adjacency, params)
+    s = encoder_forward(Tensor(x_batch), adjacency, params, plan.patch_mask)
 
     if plan.masked_edges:
         l_a = loss_spatial(spatial_decoder(s, params), plan.masked_edges, negative_edges,

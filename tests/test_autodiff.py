@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -201,64 +202,17 @@ class TestGradientHandover:
         assert x.grad is g
 
 
-class TestMaskedEmbed:
-    """The embedding-and-mask kernel against the chain it replaced, built from
-    primitives: matmul, add, then e (1 - m) + token m for a 0/1 step
-    indicator m, or no mask when no step is masked."""
-
-    @staticmethod
-    def leaves(shape, c, d, seed):
-        rng = np.random.default_rng(seed)
-        x, w, b, token = (Tensor(rng.normal(size=s), requires_grad=True)
-                          for s in (shape + (c,), (c, d), (d,), (d,)))
-        weight = Tensor(rng.normal(size=shape + (d,)))
-        return x, w, b, token, weight
-
-    @staticmethod
-    def chain(x, w, b, token, steps):
-        e = ad.add(ad.matmul(x, w), b)
-        if not len(steps):
-            return e
-        fill = np.zeros((x.shape[-3], 1, 1))
-        fill[steps] = 1.0
-        return ad.add(ad.mul(e, Tensor(1.0 - fill)), ad.mul(token, Tensor(fill)))
-
-    def run(self, build, shape, c, steps):
-        x, w, b, token, weight = self.leaves(shape, c, 5, seed=len(shape) + c)
-        for t in (x, w, b, token):
-            t.zero_grad()
-        out = build(x, w, b, token, steps)
-        backward(ad.tsum(ad.mul(out, weight)))
-        return [out.data.tobytes()] + [t.grad.tobytes() for t in (x, w, b, token)]
-
-    # patches of two steps: none, one and two of the three masked
-    @pytest.mark.parametrize("steps", [[], [2, 3], [0, 1, 4, 5]], ids=["none", "some", "all-but-one"])
-    @pytest.mark.parametrize("shape", [(6, 3), (4, 6, 3)], ids=["unbatched", "batched"])
-    @pytest.mark.parametrize("c", [1, 2])
-    def test_output_and_gradients_bitwise_equal_to_the_chain(self, c, shape, steps):
-        # shape is [..., H, N] with H = 6
-        got = self.run(lambda x, w, b, t, s: ad.masked_embed(x, w, b, s, t), shape, c, steps)
-        want = self.run(self.chain, shape, c, steps)
-        assert got == want
-
-    def test_one_output_array_and_no_token_without_masked_steps(self):
-        x, w, b, token, _ = self.leaves((6, 3), 2, 5, seed=0)
-        out = ad.masked_embed(x, w, b)
-        assert out._parents == (x, w, b)
-        masked = ad.masked_embed(x, w, b, [2], token)
-        assert masked._parents == (x, w, b, token)
-        assert all(p._parents == () for p in masked._parents)
-
-    def test_bad_shapes_rejected(self):
-        x, w, b, token, _ = self.leaves((6, 3), 2, 5, seed=0)
-        for args in [(Tensor(np.zeros((3, 2))), w, b, [1], token),  # no step axis
-                     (x, Tensor(np.zeros((3, 5))), b, [1], token),  # C mismatch
-                     (x, w, Tensor(np.zeros(4)), [1], token),  # bias width
-                     (x, w, b, [1], Tensor(np.zeros(4))),  # token width
-                     (x, w, b, [1], None),  # masked steps without a token
-                     (x, w, b, [6], token)]:  # step out of range
-            with pytest.raises(ShapeError, match="masked_embed"):
-                ad.masked_embed(*args)
+class TestSoftplus:
+    def test_values_and_gradient_at_saturated_inputs(self):
+        x = Tensor(np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.softplus(x)
+            backward(ad.tsum(out))
+        np.testing.assert_allclose(out.data, [0.0, np.exp(-40.0), np.log(2.0), 40.0, 1000.0],
+                                   rtol=1e-15)
+        sigmoid = 1.0 / (1.0 + np.exp(-x.data[1:-1]))
+        np.testing.assert_allclose(x.grad, [0.0, *sigmoid, 1.0], rtol=1e-15)
 
 
 class TestFiniteDiffCheck:

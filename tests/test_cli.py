@@ -260,10 +260,12 @@ class TestBadInput:
         assert message in err and f"line {n_lines}:" in err
 
 
-def two_feature_copy(data_dir, tmp_path):
-    """The dataset with its series repeated as a second, negated feature."""
+def feature_copy(data_dir, tmp_path, n_features=2):
+    """The dataset with its series repeated as a second, negated feature
+    and, for a third, squared."""
     dataset = data_mod.load_csv(*data_mod.dataset_paths(data_dir))
-    values = np.concatenate([dataset.values, -dataset.values], axis=-1)
+    v = dataset.values
+    values = np.concatenate([v, -v, v * v][:n_features], axis=-1)
     out = tmp_path / "wide"
     out.mkdir()
     data_mod.save_csv(dataclasses.replace(dataset, values=values), *data_mod.dataset_paths(out))
@@ -271,13 +273,30 @@ def two_feature_copy(data_dir, tmp_path):
 
 
 def test_feature_count_differs_from_input_dim(data_dir, tmp_path, capsys):
-    wide = two_feature_copy(data_dir, tmp_path)
+    wide = feature_copy(data_dir, tmp_path)
     argv = ["train", "--data", wide, "--out", str(tmp_path / "run"),
             "--set", "pretrain_epochs=0", "--set", "finetune_epochs=0"]
     assert main(argv) == 2
     assert (f"dataset {wide} has n_features=2, but the config has input_dim=1"
             in capsys.readouterr().err)
     assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("graph_mode", ["predefined", "adaptive"])
+def test_input_wider_than_the_hidden_state(data_dir, tmp_path, graph_mode):
+    # C = 3 input channels against D = 2 hidden units: the encoder multiplies
+    # the adjacency by more columns than the embedding has
+    wide = feature_copy(data_dir, tmp_path, 3)
+    argv = ["train", "--data", wide, "--set", "input_dim=3", "--set", "hidden_dim=2",
+            "--set", f"graph_mode={graph_mode}", "--set", "pretrain_epochs=2",
+            "--set", "finetune_epochs=1", "--set", "batch_size=64"]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(argv + ["--out", str(out)]) == 0
+    report = json.loads((runs[0] / "metrics.json").read_text())
+    assert all(np.isfinite(report["overall"][k]) for k in ("mae", "rmse"))
+    for name in ("metrics.json", "checkpoint.json", "curves.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_unwalkable_edge_stops_with_exit_two(data_dir, tmp_path, capsys):
@@ -334,7 +353,7 @@ class TestCheckpointChecks:
         assert not (tmp_path / "eval" / "metrics.json").exists()
 
     def test_model_input_dim_differs_from_the_run(self, data_dir, trained, tmp_path, capsys):
-        wide = two_feature_copy(data_dir, tmp_path)
+        wide = feature_copy(data_dir, tmp_path)
         assert self.evaluate(wide, tmp_path, trained / "checkpoint.json", trained / "model.json",
                              ["--set", "input_dim=2"]) == 2
         assert "input_dim is 1, but the run's config has input_dim=2" in capsys.readouterr().err

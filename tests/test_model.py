@@ -11,7 +11,7 @@ from maskcast import autodiff as ad
 from maskcast.autodiff import Tensor
 from maskcast.graph import (Graph, WalkConfig, adaptive_adjacency,
                             normalize_adjacency, normalize_dense, sparsify_topk)
-from maskcast.masking import trace_spatial_mask
+from maskcast.masking import step_mask, trace_spatial_mask
 from maskcast.model import (EncoderConfig, ModelState, embed_input,
                             encoder_forward, forecast, mask_sampling_graph,
                             model_adjacency, predictor, spatial_decoder,
@@ -34,19 +34,31 @@ def zero_params(state, prefixes):
 
 
 class TestEmbedInput:
-    def test_zero_weights_zero_embedding(self):
+    def test_no_masked_patch_masks_no_step(self):
         state = make_state()
-        zero_params(state, ["embed."])
-        x = Tensor(np.random.default_rng(0).normal(size=(4, 4, 1)))
-        assert (embed_input(x, state.params).data == 0).all()
+        x = Tensor(np.zeros((4, 4, 1)))
+        for patch_mask in (None, np.zeros(2, dtype=bool)):
+            w, b, steps, token = embed_input(x, state.params, patch_mask)
+            assert w is state.params["embed.w"] and b is state.params["embed.b"]
+            assert len(steps) == 0 and token is None
 
-    def test_hand_affine(self):
-        state = make_state(hidden_dim=2)
-        state.params["embed.w"].data = np.array([[1.0, -1.0]])
-        state.params["embed.b"].data = np.zeros(2)
-        x = Tensor(np.full((1, 1, 1), 3.0))
-        out = embed_input(x, state.params)
-        assert out.data.reshape(-1).tolist() == [3.0, -3.0]
+    def test_masked_patches_give_their_steps_and_the_token(self):
+        state = make_state(history=6)
+        x = Tensor(np.zeros((2, 6, 4, 1)))
+        _, _, steps, token = embed_input(x, state.params, np.array([True, False, True]))
+        assert steps.tolist() == [0, 1, 4, 5] and token is state.params["mask_token"]
+
+
+def gate_params(params):
+    return [params[f"encoder.{gate}.{k}"] for gate in ("update", "reset", "cand") for k in "wb"]
+
+
+def encode_embedded(x_emb, adjacency, params):
+    """graph_gru on an already embedded window: with W_e = I and b_e = 0 its
+    x-half (A [x, 1]) [I; 0] is A x_emb exactly."""
+    e = x_emb.shape[-1]
+    return ad.graph_gru(x_emb, Tensor(np.eye(e)), Tensor(np.zeros(e)), adjacency,
+                        *gate_params(params))
 
 
 class TestEncoderForward:
@@ -54,28 +66,48 @@ class TestEncoderForward:
         # zero gates halve h each step from h_0 = 0, so S stays 0
         state = make_state()
         zero_params(state, ["encoder."])
-        x_emb = Tensor(np.random.default_rng(1).normal(size=(4, 4, 3)))
+        x = Tensor(np.random.default_rng(1).normal(size=(4, 4, 1)))
         adj = Tensor(np.eye(4))
-        s = encoder_forward(x_emb, adj, state.params)
+        s = encoder_forward(x, adj, state.params)
         np.testing.assert_allclose(s.data, 0.0, atol=1e-15)
+
+    def test_zero_embedding_hides_the_input(self):
+        state = make_state()
+        zero_params(state, ["embed."])
+        rng = np.random.default_rng(1)
+        adj = Tensor(np.full((4, 4), 0.25))
+        outs = [encoder_forward(Tensor(rng.normal(size=(4, 4, 1))), adj, state.params).data
+                for _ in range(2)]
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_hand_affine_embedding(self):
+        # x = 3 embeds as [3, -3]: exact, so both forms give the same bits
+        state = make_state(hidden_dim=2)
+        state.params["embed.w"].data = np.array([[1.0, -1.0]])
+        state.params["embed.b"].data = np.zeros(2)
+        adj = Tensor(np.eye(4))
+        out = encoder_forward(Tensor(np.full((4, 4, 1), 3.0)), adj, state.params)
+        x_emb = np.broadcast_to([3.0, -3.0], (4, 4, 2))
+        want = encode_embedded(Tensor(x_emb), adj, state.params)
+        assert out.data.tobytes() == want.data.tobytes()
 
     def test_output_shape(self):
         state = make_state(n_nodes=5, hidden_dim=8, history=12)
-        x_emb = Tensor(np.zeros((12, 5, 8)))
-        s = encoder_forward(x_emb, Tensor(np.eye(5)), state.params)
+        x = Tensor(np.zeros((12, 5, 1)))
+        s = encoder_forward(x, Tensor(np.eye(5)), state.params)
         assert s.shape == (5, 8)
 
     def test_batched_output_shape(self):
         state = make_state(n_nodes=5, hidden_dim=8, history=12)
-        x_emb = Tensor(np.zeros((7, 12, 5, 8)))
-        s = encoder_forward(x_emb, Tensor(np.eye(5)), state.params)
+        x = Tensor(np.zeros((7, 12, 5, 1)))
+        s = encoder_forward(x, Tensor(np.eye(5)), state.params)
         assert s.shape == (7, 5, 8)
 
     def test_identity_adjacency_locality(self):
         # edgeless graph -> identity propagation: node outputs are independent
         state = make_state(n_nodes=4)
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 4, 3))
+        x = rng.normal(size=(4, 4, 1))
         adj = Tensor(np.eye(4))
         base = encoder_forward(Tensor(x), adj, state.params).data
         x_perturbed = x.copy()
@@ -89,12 +121,37 @@ class TestEncoderForward:
     def test_permutation_equivariance(self):
         state = make_state(n_nodes=5)
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(4, 5, 3))
+        x = rng.normal(size=(4, 5, 1))
         perm = np.array([3, 0, 4, 1, 2])
         adj = Tensor(np.eye(5))
         s = encoder_forward(Tensor(x), adj, state.params).data
         s_perm = encoder_forward(Tensor(x[:, perm]), adj, state.params).data
         np.testing.assert_allclose(s_perm, s[perm], atol=1e-12)
+
+    def test_masked_steps_ignore_the_input(self):
+        # a masked step embeds as the token, whatever x holds there
+        state = make_state(n_nodes=5, history=6)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 6, 5, 1))
+        adj = Tensor(normalize_adjacency(random_graph(5, 6, seed=3)))
+        patch_mask = np.array([False, True, False])
+        base = encoder_forward(Tensor(x), adj, state.params, patch_mask).data
+        x[:, 2:4] = 1e6
+        out = encoder_forward(Tensor(x), adj, state.params, patch_mask).data
+        assert out.tobytes() == base.tobytes()
+        state.params["mask_token"].data = state.params["mask_token"].data + 1.0
+        assert not np.allclose(encoder_forward(Tensor(x), adj, state.params, patch_mask).data, out)
+
+
+def reference_embed(x, w, b, token=None, steps=()):
+    """The embedding and patch mask composed from primitive kernels: x W + b,
+    then e (1 - m) + token m for a 0/1 step indicator m."""
+    e = ad.add(ad.matmul(x, w), b)
+    if not len(steps):
+        return e
+    fill = np.zeros((x.shape[-3], 1, 1))
+    fill[steps] = 1.0
+    return ad.add(ad.mul(e, Tensor(1.0 - fill)), ad.mul(token, Tensor(fill)))
 
 
 def reference_encoder(x_emb, adjacency, params):
@@ -123,40 +180,50 @@ def force_ranges(monkeypatch, count):
 
 
 class TestGraphGRUKernel:
-    """The fused kernel against the primitive-composed reference, with every
-    batch cut into up to three ranges."""
+    """The fused kernel against the embedding, patch mask and recurrence
+    composed from primitive kernels, with every batch cut into up to three
+    ranges. The kernel multiplies A by the 1-channel window, not by the
+    embedding, so the two agree to round-off; on an already embedded window
+    its output keeps the primitive recurrence's bits."""
 
     @pytest.fixture(autouse=True)
     def split(self, monkeypatch):
         force_ranges(monkeypatch, 3)
 
-    def run(self, encoder, params, x, adjacency_of, weight):
-        x_emb = Tensor(x, requires_grad=True)
+    @staticmethod
+    def run(fused, params, x, adjacency_of, weight, patch_mask):
+        x_in = Tensor(x, requires_grad=True)
         params.zero_grad()
         adjacency = adjacency_of(params)
-        out = encoder(x_emb, adjacency, params)
+        if fused:
+            out = encoder_forward(x_in, adjacency, params, patch_mask)
+        else:
+            steps = np.flatnonzero(step_mask(patch_mask, x.shape[-3]))
+            x_emb = reference_embed(x_in, params["embed.w"], params["embed.b"],
+                                    params["mask_token"], steps)
+            out = reference_encoder(x_emb, adjacency, params)
         ad.backward(ad.tsum(ad.mul(out, Tensor(weight))))
         grads = {p: t.grad.copy() for p, t in params.items()}
-        grads["x_emb"] = x_emb.grad
+        grads["x"] = x_in.grad
         return out.data, grads, adjacency
 
-    def check(self, params, x, adjacency_of, weight):
-        want, want_grads, _ = self.run(reference_encoder, params, x, adjacency_of, weight)
-        got, got_grads, adjacency = self.run(encoder_forward, params, x, adjacency_of, weight)
-        np.testing.assert_array_equal(got, want)
+    def check(self, params, x, adjacency_of, weight, patch_mask):
+        want, want_grads, _ = self.run(False, params, x, adjacency_of, weight, patch_mask)
+        got, got_grads, adjacency = self.run(True, params, x, adjacency_of, weight, patch_mask)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         for name, g in want_grads.items():
             np.testing.assert_allclose(got_grads[name], g, rtol=1e-12,
                                        atol=1e-12 * np.abs(g).max(), err_msg=name)
         return got_grads, adjacency
 
-    def compare(self, lead, adjacency_of, graph_mode="predefined"):
+    def compare(self, lead, adjacency_of, patch_mask, graph_mode="predefined"):
         n, d, hist = 5, 3, 4
         state = make_state(n_nodes=n, hidden_dim=d, history=hist, seed=11,
                            graph_mode=graph_mode, node_embed_dim=2)
         rng = np.random.default_rng(12)
-        x = rng.normal(size=lead + (hist, n, d))
+        x = rng.normal(size=lead + (hist, n, 1))
         weight = rng.uniform(0.5, 1.5, size=lead + (n, d))
-        return self.check(state.params, x, adjacency_of, weight)
+        return self.check(state.params, x, adjacency_of, weight, np.array(patch_mask))
 
     @staticmethod
     def constant(params):
@@ -167,49 +234,77 @@ class TestGraphGRUKernel:
         mask = Tensor(np.ones((5, 5)) - np.eye(5)[::-1])
         return ad.mul(adaptive_adjacency(params["node_embeddings"]), mask)
 
-    def test_batched_constant_adjacency(self):
-        _, adjacency = self.compare((3,), self.constant)
+    @pytest.mark.parametrize("patch_mask", [[False, False], [True, False]])
+    def test_batched_constant_adjacency(self, patch_mask):
+        grads, adjacency = self.compare((3,), self.constant, patch_mask)
         assert not adjacency.requires_grad and adjacency.grad is None
+        assert (np.abs(grads["mask_token"]).max() > 0) == any(patch_mask)
 
-    def test_unbatched_constant_adjacency(self):
-        _, adjacency = self.compare((), self.constant)
+    @pytest.mark.parametrize("patch_mask", [[False, False], [False, True]])
+    def test_unbatched_constant_adjacency(self, patch_mask):
+        _, adjacency = self.compare((), self.constant, patch_mask)
         assert adjacency.grad is None
 
-    def test_batched_learned_adjacency(self):
-        grads, _ = self.compare((3,), self.learned, graph_mode="adaptive")
+    @pytest.mark.parametrize("patch_mask", [[False, False], [True, False]])
+    def test_batched_learned_adjacency(self, patch_mask):
+        grads, _ = self.compare((3,), self.learned, patch_mask, graph_mode="adaptive")
         assert np.abs(grads["node_embeddings"]).max() > 0
 
-    def test_unbatched_learned_adjacency(self):
-        grads, _ = self.compare((), self.learned, graph_mode="adaptive")
+    @pytest.mark.parametrize("patch_mask", [[False, False], [False, True]])
+    def test_unbatched_learned_adjacency(self, patch_mask):
+        grads, _ = self.compare((), self.learned, patch_mask, graph_mode="adaptive")
         assert np.abs(grads["node_embeddings"]).max() > 0
 
     @pytest.mark.parametrize("adjacency_of", ["constant", "learned"])
-    def test_input_width_differs_from_hidden(self, adjacency_of):
-        # C = 2 input channels and D = 3 hidden units: an x-side slice taken
-        # for an h-side one, in any gate input or gradient, cannot go unseen
-        c, d, n, hist = 2, 3, 5, 4
+    @pytest.mark.parametrize("c, e", [(2, 4), (5, 4)])
+    def test_input_and_embedding_widths_differ_from_hidden(self, adjacency_of, c, e):
+        # C input channels, E embedding channels and D = 3 hidden units: a
+        # slice of one width taken for another, in any gate input or
+        # gradient, cannot go unseen; C > E is the case where the kernel's
+        # A product is wider than the embedding it replaces
+        d, n, hist = 3, 5, 4
         rng = np.random.default_rng(13)
         params = ad.ParameterTree()
+        params.add("embed.w", rng.uniform(-0.6, 0.6, size=(c, e)))
+        params.add("embed.b", rng.uniform(-0.6, 0.6, size=e))
+        params.add("mask_token", rng.uniform(-0.6, 0.6, size=e))
         for gate in ("update", "reset", "cand"):
-            params.add(f"encoder.{gate}.w", rng.uniform(-0.6, 0.6, size=(c + d, d)))
+            params.add(f"encoder.{gate}.w", rng.uniform(-0.6, 0.6, size=(e + d, d)))
             params.add(f"encoder.{gate}.b", rng.uniform(-0.6, 0.6, size=d))
         params.add("node_embeddings", rng.normal(size=(n, 2)))
         x = rng.normal(size=(2, 3, hist, n, c))
         weight = rng.uniform(0.5, 1.5, size=(2, 3, n, d))
-        grads, _ = self.check(params, x, getattr(self, adjacency_of), weight)
-        assert grads["x_emb"].shape == x.shape
+        patch_mask = np.array([False, True, False, False])
+        grads, _ = self.check(params, x, getattr(self, adjacency_of), weight, patch_mask)
+        assert grads["x"].shape == x.shape
+        assert (grads["x"][:, :, 1] == 0).all() and np.abs(grads["x"][:, :, 0]).max() > 0
         assert (np.abs(grads["node_embeddings"]).max() > 0) == (adjacency_of == "learned")
 
-    def test_forward_only_output_matches_taped_with_lower_peak(self):
+    @pytest.mark.parametrize("adjacency_of", ["constant", "learned"])
+    def test_embedded_window_keeps_the_recurrence_bits(self, adjacency_of):
+        # W_e = I and b_e = 0 make the x-half A x_emb exactly, so the output
+        # is bitwise the primitive recurrence's
+        state = make_state(n_nodes=5, hidden_dim=3, history=4, seed=11,
+                           graph_mode="adaptive", node_embed_dim=2)
+        x_emb = Tensor(np.random.default_rng(12).normal(size=(3, 4, 5, 3)))
+        adjacency = getattr(self, adjacency_of)(state.params)
+        got = encode_embedded(x_emb, adjacency, state.params)
+        want = reference_encoder(x_emb, adjacency, state.params)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("adjacency_of, patch_mask", [
+        ("constant", [False, False, False]), ("learned", [True, False, True])])
+    def test_forward_only_output_matches_taped_with_lower_peak(self, adjacency_of, patch_mask):
         # constant inputs keep one step of activations instead of H, bit for bit
-        state = make_state(n_nodes=5, hidden_dim=3, history=12, seed=11)
-        x = np.random.default_rng(12).normal(size=(16, 12, 5, 3))
-        adjacency = self.constant(state.params)
+        state = make_state(n_nodes=5, hidden_dim=3, history=12, seed=11,
+                           graph_mode="adaptive", node_embed_dim=2)
+        x = np.random.default_rng(12).normal(size=(16, 12, 5, 1))
 
         def run(params):
+            adjacency = getattr(self, adjacency_of)(params)
             tracemalloc.start()
             try:
-                out = encoder_forward(Tensor(x), adjacency, params)
+                out = encoder_forward(Tensor(x), adjacency, params, np.array(patch_mask))
                 return out, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -223,47 +318,88 @@ class TestGraphGRUKernel:
     def test_shape_mismatch_names_kernel(self):
         state = make_state(n_nodes=4, hidden_dim=3)
         with pytest.raises(ad.ShapeError, match="graph_gru"):
-            encoder_forward(Tensor(np.zeros((4, 4, 3))), Tensor(np.eye(5)), state.params)
+            encoder_forward(Tensor(np.zeros((4, 4, 1))), Tensor(np.eye(5)), state.params)
+        with pytest.raises(ad.ShapeError, match="graph_gru"):
+            encoder_forward(Tensor(np.zeros((4, 4, 2))), Tensor(np.eye(4)), state.params)
+
+    def test_token_and_steps_checked(self):
+        state = make_state(n_nodes=4, hidden_dim=3)
+        x = Tensor(np.zeros((2, 4, 4, 1)))
+        w, b, token = state.params["embed.w"], state.params["embed.b"], state.params["mask_token"]
+        gates = gate_params(state.params)
+        for steps, tok in [([1], Tensor(np.zeros(4))),  # token width
+                           ([1], None),  # masked steps without a token
+                           ([4], token),  # step out of range
+                           ([-1], token),
+                           ([[1]], token)]:  # not a list of steps
+            with pytest.raises(ad.ShapeError, match="graph_gru"):
+                ad.graph_gru(x, w, b, Tensor(np.eye(4)), *gates, steps, tok)
+        with pytest.raises(ad.ShapeError, match="graph_gru"):
+            ad.graph_gru(x, w, Tensor(np.zeros(4)), Tensor(np.eye(4)), *gates)  # bias width
+
+    def test_token_is_a_parent_only_with_masked_steps(self):
+        state = make_state(n_nodes=4, hidden_dim=3)
+        x = Tensor(np.zeros((2, 4, 4, 1)))
+        token = state.params["mask_token"]
+        for masked in (False, True):
+            out = encoder_forward(x, Tensor(np.eye(4)), state.params, np.array([masked, False]))
+            assert (token in out._parents) == masked
+            assert len(out._parents) == 10 + masked
 
 
 class TestGraphGRURanges:
     """Cutting the batch into ranges changes no bit, and small batches stay whole."""
 
     @staticmethod
-    def run(lead, learned, taped, n=5, c=2, d=3, hist=4):
+    def run(lead, learned, taped, masked=True, n=5, c=2, d=3, hist=4):
         rng = np.random.default_rng(21)
         params = ad.ParameterTree()
+        params.add("embed.w", rng.uniform(-0.6, 0.6, size=(c, d)))
+        params.add("embed.b", rng.uniform(-0.6, 0.6, size=d))
+        params.add("mask_token", rng.uniform(-0.6, 0.6, size=d))
         for gate in ("update", "reset", "cand"):
-            params.add(f"encoder.{gate}.w", rng.uniform(-0.6, 0.6, size=(c + d, d)))
+            params.add(f"encoder.{gate}.w", rng.uniform(-0.6, 0.6, size=(2 * d, d)))
             params.add(f"encoder.{gate}.b", rng.uniform(-0.6, 0.6, size=d))
         params.add("node_embeddings", rng.normal(size=(n, 2)))
         if not taped:
             params = {p: Tensor(t.data) for p, t in params.items()}
-        x_emb = Tensor(rng.normal(size=lead + (hist, n, c)), requires_grad=taped)
+        x = Tensor(rng.normal(size=lead + (hist, n, c)), requires_grad=taped)
         if learned:
             mask = Tensor(np.ones((n, n)) - np.eye(n)[::-1])
             adjacency = ad.mul(adaptive_adjacency(params["node_embeddings"]), mask)
         else:
             adjacency = Tensor(normalize_adjacency(random_graph(n, 2 * n, seed=3)))
-        out = encoder_forward(x_emb, adjacency, params)
+        # the first of two patches masked, or none
+        patch_mask = np.array([masked, False])
+        out = encoder_forward(x, adjacency, params, patch_mask)
         if not taped:
             assert out._backward is None
             return {"out": out.data}
         ad.backward(ad.tsum(ad.mul(out, Tensor(rng.uniform(0.5, 1.5, size=out.shape)))))
         grads = {p: t.grad for p, t in params.items()}
         assert (grads["node_embeddings"] is not None) == learned
-        return {"out": out.data, "x_emb": x_emb.grad, **grads}
+        assert (grads["mask_token"] is not None) == masked
+        return {"out": out.data, "x": x.grad, **grads}
 
     @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
     @pytest.mark.parametrize("learned", [False, True])
     @pytest.mark.parametrize("taped", [False, True])
-    def test_bits_do_not_depend_on_range_count(self, monkeypatch, lead, learned, taped):
-        self.check_ranges(monkeypatch, lead, learned, taped)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bits_do_not_depend_on_range_count(self, monkeypatch, lead, learned, taped, masked):
+        self.check_ranges(monkeypatch, lead, learned, taped, masked=masked)
 
     @pytest.mark.parametrize("learned", [False, True])
-    def test_bits_do_not_depend_on_range_count_at_blas_sizes(self, monkeypatch, learned):
+    @pytest.mark.parametrize("c", [1, 16])
+    def test_bits_do_not_depend_on_range_count_at_blas_sizes(self, monkeypatch, learned, c):
         # products large enough for BLAS's blocked kernels
-        self.check_ranges(monkeypatch, (5,), learned, True, n=48, c=16, d=16, hist=3)
+        self.check_ranges(monkeypatch, (5,), learned, True, n=48, c=c, d=16, hist=4)
+
+    @pytest.mark.parametrize("learned", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_forward_only_bits_equal_taped(self, learned, masked):
+        taped = self.run((4,), learned, True, masked=masked)
+        plain = self.run((4,), learned, False, masked=masked)
+        assert plain["out"].tobytes() == taped["out"].tobytes()
 
     def check_ranges(self, monkeypatch, lead, learned, taped, **shape):
         force_ranges(monkeypatch, 1)
@@ -323,8 +459,8 @@ class TestGraphGRURanges:
         assert ad._batch_ranges(batch, n * d) == [(0, batch)]
         state = make_state(n_nodes=n, hidden_dim=d, history=12)
         threads = threading.active_count()
-        x_emb = Tensor(np.random.default_rng(0).normal(size=(batch, 12, n, d)), requires_grad=True)
-        ad.backward(ad.tsum(encoder_forward(x_emb, Tensor(np.eye(n)), state.params)))
+        x = Tensor(np.random.default_rng(0).normal(size=(batch, 12, n, 1)), requires_grad=True)
+        ad.backward(ad.tsum(encoder_forward(x, Tensor(np.eye(n)), state.params, np.arange(6) < 2)))
         assert threading.active_count() == threads and ad._pool is None
 
     def test_large_batches_use_every_worker(self, monkeypatch):
@@ -346,20 +482,23 @@ class TestGraphGRURanges:
             assert ranges[-1][1] == batch and all(hi > lo for lo, hi in ranges)
 
     @staticmethod
-    def run_kernel(lead, n, c, d, hist=4, seed=5):
+    def run_kernel(lead, n, c, d, hist=4, seed=5, steps=(1, 2)):
         """graph_gru on leaf inputs, a learned (leaf) adjacency among them;
         returns the output and every gradient."""
         rng = np.random.default_rng(seed)
-        x_emb = Tensor(rng.normal(size=lead + (hist, n, c)), requires_grad=True)
+        x = Tensor(rng.normal(size=lead + (hist, n, c)), requires_grad=True)
         adjacency = Tensor(rng.uniform(0.0, 2.0 / n, size=(n, n)), requires_grad=True)
+        embedding = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
+                     for shape in ((c, d), (d,), (d,))]
         weights = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
-                   for _ in range(3) for shape in ((c + d, d), (d,))]
-        out = ad.graph_gru(x_emb, adjacency, *weights)
+                   for _ in range(3) for shape in ((2 * d, d), (d,))]
+        w_e, b_e, token = embedding
+        out = ad.graph_gru(x, w_e, b_e, adjacency, *weights, steps, token)
         ad.backward(ad.tsum(ad.mul(out, Tensor(rng.uniform(0.5, 1.5, size=out.shape)))))
-        grads = {f"w{i}": t.grad for i, t in enumerate(weights)}
-        return {"out": out.data, "dx": x_emb.grad, "da": adjacency.grad, **grads}
+        grads = {f"w{i}": t.grad for i, t in enumerate(embedding + weights)}
+        return {"out": out.data, "dx": x.grad, "da": adjacency.grad, **grads}
 
-    # splitting the x-side GEMM by rows would change bits at N=20 and at C=1
+    # splitting an x-side reduction by rows would change bits at N=20 and at C=1
     @pytest.mark.parametrize("n, c", [(20, 1), (20, 16), (48, 16)])
     def test_tail_bits_do_not_depend_on_thread_count(self, monkeypatch, n, c):
         force_ranges(monkeypatch, 1)
@@ -368,26 +507,30 @@ class TestGraphGRURanges:
             force_ranges(monkeypatch, count)
             self.assert_same_bits(self.run_kernel((5,), n, c, 16), want)
 
-    def test_backward_never_holds_caches_and_dax_at_once(self, monkeypatch):
-        # with C < 4D, dax and dx together stay below what dax on top of
-        # the four recurrence caches would take
+    def test_backward_makes_no_embedding_sized_x_side_array(self, monkeypatch):
+        # backward's large arrays are dpre and the reverse loop's scratch;
+        # every x-side array has K = C + 2 channels, far fewer than D, so
+        # one [H, B, N, D] array more would cross the bound
         force_ranges(monkeypatch, 2)
-        batch, hist, n, c, d = 16, 24, 10, 16, 8
+        batch, hist, n, c, d = 16, 24, 10, 1, 16
         rng = np.random.default_rng(0)
-        x_emb = Tensor(rng.normal(size=(batch, hist, n, c)), requires_grad=True)
+        x = Tensor(rng.normal(size=(batch, hist, n, c)), requires_grad=True)
         adjacency = Tensor(rng.uniform(0.0, 0.2, size=(n, n)), requires_grad=True)
-        weights = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
-                   for _ in range(3) for shape in ((c + d, d), (d,))]
+        leaves = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
+                  for shape in [(c, d), (d,)] + [(2 * d, d), (d,)] * 3 + [(d,)]]
+        *weights, token = leaves
+        loss = ad.tsum(ad.graph_gru(x, weights[0], weights[1], adjacency, *weights[2:],
+                                    np.arange(0, hist, 3), token))
         tracemalloc.start()
         try:
-            ad.backward(ad.tsum(ad.graph_gru(x_emb, adjacency, *weights)))
+            ad.backward(loss)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         unit = hist * batch * n * 8  # bytes per channel of a [H, B, N, .] array
-        held = unit * (c + 2 * d + 3 * d)  # A x, A h and A (r h), dpre
-        caches = unit * 4 * d  # h, u, r and c of every step
-        assert held + caches <= peak < held + caches + unit * c
+        held = unit * 3 * d + 4 * batch * n * d * 8  # dpre, and the loop's four [B, N, D]
+        assert x.grad is not None and adjacency.grad is not None and token.grad is not None
+        assert held <= peak < held + unit * d
 
     def test_shape_error_before_any_work_is_sent(self, monkeypatch):
         class Pool:
@@ -397,12 +540,12 @@ class TestGraphGRURanges:
         force_ranges(monkeypatch, 3)
         monkeypatch.setattr(ad, "_pool", Pool())
         state = make_state(n_nodes=4, hidden_dim=3)
-        x_emb = Tensor(np.zeros((6, 4, 4, 3)), requires_grad=True)
+        x = Tensor(np.zeros((6, 4, 4, 1)), requires_grad=True)
         with pytest.raises(ad.ShapeError, match="graph_gru"):
-            encoder_forward(x_emb, Tensor(np.eye(5)), state.params)
+            encoder_forward(x, Tensor(np.eye(5)), state.params)
         params = {**dict(state.params.items()), "encoder.cand.b": Tensor(np.zeros(4))}
         with pytest.raises(ad.ShapeError, match="graph_gru"):
-            encoder_forward(x_emb, Tensor(np.eye(4)), params)
+            encoder_forward(x, Tensor(np.eye(4)), params)
 
 
 class TestRunRanges:
