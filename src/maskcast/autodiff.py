@@ -431,12 +431,12 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     history axis, as one kernel.
 
     The DCRNN recurrence (Li et al., ICLR 2018) with one propagation hop,
-    on an embedded window. ``x`` is the raw window [..., H, N, C],
-    ``embed_w`` [C, E] and ``embed_b`` [E], ``adjacency`` [N, N], the gate
-    weights [E + D, D] and biases [D]. Step t's embedding is
-    e_t = x_t W_e + 1 b_e^T, except on the masked history steps listed in
-    ``steps``, where it is 1 token^T for ``token`` [E]. From h = 0, each
-    step computes
+    on an embedded window. The raw window ``x`` [..., H, N, C] is data, an
+    array like ``steps``, and gets no gradient. ``embed_w`` is [C, E],
+    ``embed_b`` [E], ``adjacency`` [N, N], the gate weights [E + D, D] and
+    biases [D]. Step t's embedding is e_t = x_t W_e + 1 b_e^T, except on
+    the masked history steps listed in ``steps``, where it is 1 token^T for
+    ``token`` [E]. From h = 0, each step computes
 
         u, r = sigmoid([A e_t, A h] [Wu|Wr] + [bu|br])
         c = tanh([A e_t, A (r h)] Wc + bc)
@@ -468,34 +468,32 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     M^T P = W_e^T P_x + b_e P_b + token P_m, and M gets P W_x^T: the
     gradients of W_e, b_e and the token. A learned adjacency's x-side term
     is sum_t (dpre_t (M W_x)^T) l_t^T, which is (dpre (W_e W_x)^T) x^T plus
-    (dpre W_x^T b_e, or token) 1^T, one product over all steps; a gradient
-    for ``x`` itself is A^T (dpre (W_e W_x)^T) on the kept steps and 0 on
-    the masked ones. The h-rows' gradients come from the cached A h and
-    A (r h), one GEMM each, and a learned adjacency adds one [N, N] product
-    per A product and step. Neither pass makes an [..., H, N, E] array.
+    (dpre W_x^T b_e, or token) 1^T, one product over all steps. The h-rows'
+    gradients come from the cached A h and A (r h), one GEMM each, and a
+    learned adjacency adds one [N, N] product per A product and step.
+    Neither pass makes an [..., H, N, E] array.
 
     The lead axes are flattened into one batch axis, whose items never
     interact. The batch is cut into contiguous ranges, one per CPU in the
-    process's affinity mask, when each range keeps enough work per step;
-    a single window is never cut. Each range runs the A l product, the
-    forward recurrence, the reverse-time loop and the A^T product of an
-    ``x`` gradient on its own rows, in preallocated buffers, so the
-    threads allocate nothing large. The products after the reverse loop
-    that sum over the batch (the weight GEMMs, the bias GEMV, the x-side
-    reductions and the learned adjacency's [N, N] terms) are jobs on the
-    same threads: each is whole, one numpy call, never split by rows, and
-    the calling thread adds the adjacency terms up in a fixed order once
-    the jobs have joined. The adjacency terms that read the recurrence
-    caches run first, and the caches are freed before the x-side
-    reductions. Outputs and gradients are therefore bitwise the same for
-    any number of ranges, so for any number of CPUs. Under a multi-threaded
-    BLAS, its own thread pool shares the same cores.
+    process's affinity mask, when each range keeps enough work per step; a
+    single window is never cut. Each range runs the A l product, the
+    forward recurrence and the reverse-time loop on its own rows, in
+    preallocated buffers, so the threads allocate nothing large. The
+    products after the reverse loop that sum over the batch (the weight
+    GEMMs, the bias GEMV, the x-side reductions and the learned adjacency's
+    [N, N] terms) are jobs on the same threads: each is whole, one numpy
+    call, never split by rows, and the calling thread adds the adjacency
+    terms up in a fixed order once the jobs have joined. The adjacency
+    terms that read the recurrence caches run first, and the caches are
+    freed before the x-side reductions. Outputs and gradients are therefore
+    bitwise the same for any number of ranges, so for any number of CPUs.
+    Under a multi-threaded BLAS, its own thread pool shares the same cores.
 
-    The per-step activations are cached only when some input requires grad;
-    a forward-only call writes every step into the same one-step buffers,
-    which leaves its output bitwise unchanged.
+    The per-step activations are cached only when a tensor input requires
+    grad; a forward-only call writes every step into the same one-step
+    buffers, which leaves its output bitwise unchanged.
     """
-    xd, a = x.data, adjacency.data
+    xd, a = np.asarray(x, dtype=np.float64), adjacency.data
     steps = np.asarray(steps, dtype=np.int64)
     masked = steps.size > 0
     if (xd.ndim < 3 or embed_w.data.ndim != 2 or embed_w.shape[0] != xd.shape[-1]
@@ -503,7 +501,7 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
             or steps.ndim != 1
             or (masked and (token is None or token.shape != embed_b.shape
                             or steps.min() < 0 or steps.max() >= xd.shape[-3]))):
-        _shape_fail("graph_gru", x.shape, embed_w.shape, embed_b.shape, adjacency.shape,
+        _shape_fail("graph_gru", xd.shape, embed_w.shape, embed_b.shape, adjacency.shape,
                     steps.shape, () if token is None else token.shape)
     hist, n, c_in = xd.shape[-3:]
     cx, d = embed_w.shape[1], wu.shape[-1]
@@ -517,7 +515,7 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     w_ur = np.concatenate([wu.data, wr.data], axis=1)
     b_ur = np.concatenate([bu.data, br.data])
     w_c, b_c = wc.data, bc.data
-    parents = (x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc)
+    parents = (embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc)
     if masked:
         parents += (token,)
     # per-step activations [steps, B, N, D], stacked over all H steps when
@@ -641,30 +639,15 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
                 partial(np.matmul, al.reshape(-1, k).T, flat),  # P
                 # a GEMV: numpy's column sum walks row by row
                 partial(np.matmul, np.ones(len(flat)), flat)]
-        if x.requires_grad or da is not None:
+        if da is not None:
             # dL/d(A l) = dpre (M W_x)^T
             jobs.append(partial(np.matmul, flat, (m_emb @ w_x).T))
         _, _, p, db, *dal = _run_ranges(jobs, threads)
         np.matmul(m_emb.T, p, out=dw[:cx])
         dm = p @ w_x.T  # rows: W_e, b_e, then the token
-        jobs = []
-        if dal:
-            dal = dal[0].reshape(al.shape)
-            if da is not None:
-                jobs.append(partial(np.tensordot, dal.reshape(-1, n, k), lift.reshape(-1, n, k),
-                                    axes=([0, 2], [0, 2])))
-            if x.requires_grad:
-                # written straight into x's [..., H, N, C] layout
-                dx = np.empty(xd.shape)
-                dx_steps = dx.reshape((batch,) + xd.shape[-3:]).swapaxes(0, 1)
-                jobs += [partial(np.matmul, a_t, dal[:, lo:hi, :, :c_in], out=dx_steps[:, lo:hi])
-                         for lo, hi in ranges]
-        results = _run_ranges(jobs, threads)
-        if x.requires_grad:
-            dx_steps[steps] = 0.0
-            _accumulate(x, dx, owned=True)
         if da is not None:
-            da += results[0]
+            da += np.tensordot(dal[0].reshape(-1, n, k), lift.reshape(-1, n, k),
+                               axes=([0, 2], [0, 2]))
             _accumulate(adjacency, da, owned=True)
         grads = [(embed_w, dm[:c_in]), (embed_b, dm[c_in])]
         if masked:

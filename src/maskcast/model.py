@@ -21,14 +21,14 @@ from .masking import apply_spatial_mask, apply_temporal_mask, edge_mask_matrix
 
 @dataclass
 class EncoderConfig:
-    hidden_dim: int = 16
-    input_dim: int = 1
-    history: int = 12
-    horizon: int = 12
-    n_nodes: int = 0
-    graph_mode: str = "predefined"  # predefined | adaptive
-    node_embed_dim: int = 8
-    topk: int = 8
+    hidden_dim: int
+    input_dim: int
+    history: int
+    horizon: int
+    n_nodes: int
+    graph_mode: str  # predefined | adaptive
+    node_embed_dim: int
+    topk: int
 
 
 class ModelState:
@@ -78,9 +78,10 @@ class ModelState:
     def load(cls, checkpoint_path, manifest_path):
         with open(manifest_path) as fh:
             values = json.load(fh)
-        unknown = sorted(set(values) - {f.name for f in fields(EncoderConfig)})
-        if unknown:
-            raise ValueError(f"model manifest {manifest_path}: unknown keys {unknown}")
+        names = {f.name for f in fields(EncoderConfig)}
+        for problem, keys in (("unknown", set(values) - names), ("missing", names - set(values))):
+            if keys:
+                raise ValueError(f"model manifest {manifest_path}: {problem} keys {sorted(keys)}")
         config = EncoderConfig(**values)
         state = cls.initialize(config, np.random.default_rng(0))
         state.params.load_values(ad.load_checkpoint(checkpoint_path))
@@ -101,7 +102,7 @@ def embed_input(x, params, patch_mask):
 
 
 def encoder_forward(x, adjacency, params, patch_mask=None):
-    """Embed the window ``x`` [..., H, N, C], with the steps of masked
+    """Embed the window array ``x`` [..., H, N, C], with the steps of masked
     patches holding the mask token, and run the gated graph-convolutional
     recurrence over the history axis, all in one ``graph_gru`` kernel.
 
@@ -179,5 +180,5 @@ def mask_sampling_graph(g, state):
 def forecast(x, g, state):
     """Full-visibility forward pass on a window array: embed, encode, predict."""
     adjacency = model_adjacency(g, state)
-    s = encoder_forward(Tensor(x), adjacency, state.params)
+    s = encoder_forward(x, adjacency, state.params)
     return predictor(s, state.config, state.params)

@@ -237,7 +237,7 @@ def pretrain_forward(x_batch, g, state, cfg, plan, negative_edges=None, mask_gra
     # the plan's edges were drawn from mask_graph, so they are removed from it
     adjacency = model_adjacency(mask_graph if mask_graph is not None else g, state,
                                 plan.masked_edges)
-    s = encoder_forward(Tensor(x_batch), adjacency, params, plan.patch_mask)
+    s = encoder_forward(x_batch, adjacency, params, plan.patch_mask)
 
     if plan.masked_edges:
         l_a = loss_spatial(spatial_decoder(s, params), plan.masked_edges, negative_edges,
@@ -267,7 +267,7 @@ def pretrain_step(x_batch, g, state, cfg, optimizer, rngs, mask_graph=None, audi
     return loss.item(), l_a.item(), l_x.item(), plan
 
 
-def finetune_step(x_batch, y_batch, g, state, cfg, optimizer):
+def finetune_step(x_batch, y_batch, g, state, optimizer):
     """One forecasting update on complete, unmasked windows."""
     y_hat = forecast(x_batch, g, state)
     loss = loss_pred(y_hat, y_batch)
@@ -416,7 +416,7 @@ def finetune(cfg, splits, g, state, batch_order, log=None):
         optimizer.lr = _stage_lr(cfg, epoch, cfg.finetune_epochs)
         losses = []
         for step, idx in enumerate(_batches(len(xs_train), cfg.batch_size, batch_order)):
-            losses.append(finetune_step(xs_train[idx], ys_train[idx], g, state, cfg, optimizer))
+            losses.append(finetune_step(xs_train[idx], ys_train[idx], g, state, optimizer))
             _check_finite(losses[-1], "loss", "finetune", epoch, step)
         val_mae = validation_mae(splits, g, state)
         _check_finite(val_mae, "validation MAE", "finetune", epoch)

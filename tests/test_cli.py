@@ -8,6 +8,7 @@ import pytest
 
 from maskcast import data as data_mod
 from maskcast.cli import ConfigError, _write_json, load_config, main
+from maskcast.model import EncoderConfig
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +367,16 @@ class TestCheckpointChecks:
         bad.write_text(json.dumps(manifest))
         assert self.evaluate(data_dir, tmp_path, trained / "checkpoint.json", bad) == 2
         assert "unknown keys ['hidden_units']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(EncoderConfig)])
+    def test_missing_manifest_key(self, data_dir, trained, tmp_path, capsys, key):
+        manifest = json.loads((trained / "model.json").read_text())
+        del manifest[key]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(manifest))
+        assert self.evaluate(data_dir, tmp_path, trained / "checkpoint.json", bad) == 2
+        assert f"missing keys ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
     def test_unknown_checkpoint_parameter(self, data_dir, trained, tmp_path, capsys):
         checkpoint = json.loads((trained / "checkpoint.json").read_text())

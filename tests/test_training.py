@@ -17,7 +17,7 @@ from maskcast.training import (RunConfig, curve_to_csv_rows, finetune_step,
                                loss_temporal, init_state, pretrain_forward,
                                run_two_stage, sample_mask_plan, sample_negative_edges)
 
-from conftest import random_graph
+from conftest import random_graph, reference_embed, reference_encoder
 
 
 @pytest.fixture(scope="module")
@@ -316,28 +316,22 @@ class TestPretrainForward:
 
 
 class TestPretrainForwardChain:
-    """pretrain_forward against the chain it replaced, built from the older
-    kernels: the embedding as matmul and add followed by the patch mask as
-    x (1 - m) + token m, the encoder on that embedded window, the full
+    """pretrain_forward against a chain of primitive kernels that shares no
+    code with ``graph_gru``: the embedding and patch mask of
+    ``reference_embed``, the recurrence of ``reference_encoder``, the full
     [B, N, N] sigmoid, and gather_flat and tlog of the gathered
-    probabilities. The encoder now multiplies A by the raw window and the
-    edge loss takes softplus of the logits, so the two agree to round-off."""
+    probabilities. The encoder multiplies A by the raw window and the edge
+    loss takes softplus of the logits, so the two agree to round-off."""
 
     @staticmethod
     def chain_forward(x_batch, g, state, cfg, plan, negative_edges, mask_graph):
         params = state.params
-        x_emb = ad.add(ad.matmul(Tensor(x_batch), params["embed.w"]), params["embed.b"])
-        if plan.patch_mask.any():
-            fill = masking.step_mask(plan.patch_mask, cfg.history)
-            x_emb = ad.add(ad.mul(x_emb, Tensor(1.0 - fill)),
-                           ad.mul(params["mask_token"], Tensor(fill)))
+        steps = np.flatnonzero(masking.step_mask(plan.patch_mask, cfg.history))
+        x_emb = reference_embed(Tensor(x_batch), params["embed.w"], params["embed.b"],
+                                params["mask_token"], steps)
         adjacency = model_adjacency(mask_graph if mask_graph is not None else g, state,
                                     plan.masked_edges)
-        # W_e = I and b_e = 0: the kernel's x-half is A x_emb exactly
-        d = cfg.hidden_dim
-        s = ad.graph_gru(x_emb, Tensor(np.eye(d)), Tensor(np.zeros(d)), adjacency,
-                         *(params[f"encoder.{gate}.{k}"]
-                           for gate in ("update", "reset", "cand") for k in "wb"))
+        s = reference_encoder(x_emb, adjacency, params)
         a_hat = ad.sigmoid(spatial_decoder(s, params))
         l_a = loss_spatial(a_hat, plan.masked_edges, negative_edges)
         l_x = Tensor(0.0)
@@ -399,7 +393,7 @@ class TestFinetuneFreezing:
         x = rng.normal(size=(4, 4, 5, 1))
         y = rng.normal(size=(4, 4, 5, 1))
         for _ in range(3):
-            finetune_step(x, y, g, state, cfg, opt)
+            finetune_step(x, y, g, state, opt)
 
         for path, before in frozen_before.items():
             assert (state.params[path].data == before).all()
