@@ -2,8 +2,9 @@
 
 Subcommands: generate, pretrain, finetune, train, evaluate, ablate, sweep,
 gradcheck. Configuration comes from a JSON file plus repeatable
-``--set key=value`` overrides; every run writes a manifest with the resolved
-config and artifact hashes.
+``--set key=value`` overrides. Every command but gradcheck writes its files
+through ``_write_run``, which ends with a manifest of the resolved config and
+the hashes of exactly those files.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
@@ -16,15 +17,15 @@ import itertools
 import json
 import os
 import sys
+from functools import partial
 
 from . import autodiff as ad
 from . import data as data_mod
-from .evaluation import (ablation_csv_rows, heatmap_csv_rows, per_step_table,
-                         run_ablation, sensitivity_sweep)
+from .evaluation import run_ablation, sensitivity_sweep
 from .model import ModelState
 from .seeding import stream
-from .training import (VARIANTS, ConfigError, RunConfig, curve_to_csv_rows,
-                       finetune, init_state, pretrain, run_two_stage, test_report)
+from .training import (VARIANTS, ConfigError, RunConfig, finetune, init_state, pretrain,
+                       run_two_stage, test_report)
 
 
 _CONFIG_ALIASES = {"lambda": "lam", "L": "patch_length", "p": "walk_p", "q": "walk_q"}
@@ -82,6 +83,7 @@ def _sha256(path):
 
 
 def _write_csv(path, rows):
+    # csv writes a cell as str(cell), the shortest round-trip form of a float, and None as ""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
 
@@ -93,15 +95,35 @@ def _write_json(path, payload):
         fh.write(text)
 
 
-def _write_manifest(out_dir, cfg, artifacts):
-    manifest = {
-        "config": dataclasses.asdict(cfg),
-        "seed": cfg.seed,
-        "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts},
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    _write_json(path, manifest)
-    return path
+def _write_run(out_dir, cfg, *outputs):
+    """Write each output, a pair of file names and a writer given their paths,
+    then the manifest that hashes exactly those files."""
+    artifacts = {}
+    for names, write in outputs:
+        paths = [os.path.join(out_dir, name) for name in names]
+        write(*paths)
+        artifacts.update((name, _sha256(path)) for name, path in zip(names, paths))
+    manifest = {"config": dataclasses.asdict(cfg), "seed": cfg.seed, "artifacts": artifacts}
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+
+
+def _table(name, header, records):
+    """The CSV output ``name``: the header row, then each record's fields under it."""
+    rows = [header] + [[r[key] for key in header] for r in records]
+    return [name], partial(_write_csv, rows=rows)
+
+
+def _model_and_curve(state, curve):
+    """The model's checkpoint and manifest, and its learning curve."""
+    return ((["checkpoint.json", "model.json"], state.save),
+            _table("curves.csv", ["stage", "epoch", "train_loss", "val_mae"],
+                   map(dataclasses.asdict, curve)))
+
+
+def _report(report):
+    """The test report and its per-step table."""
+    return ((["metrics.json"], partial(_write_json, payload=report)),
+            _table("per_step.csv", ["step", "mae", "rmse", "mape"], report["per_step"]))
 
 
 def _load_dataset(data_dir, cfg):
@@ -122,36 +144,17 @@ def _load_dataset(data_dir, cfg):
 def cmd_generate(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     dataset = data_mod.synthesize(args.nodes, args.steps, cfg.seed)
-    paths = data_mod.dataset_paths(args.out)
-    data_mod.save_csv(dataset, *paths)
-    _write_manifest(args.out, cfg, paths)
+    _write_run(args.out, cfg, (data_mod.DATASET_FILES, partial(data_mod.save_csv, dataset)))
     print(f"wrote synthetic dataset ({args.nodes} nodes, {args.steps} steps) to {args.out}")
     return 0
-
-
-def _write_run(out_dir, cfg, state=None, curve=None, report=None):
-    """Write whichever of model, curve and test report a command has, then the manifest."""
-    artifacts = []
-
-    def path(name):
-        artifacts.append(os.path.join(out_dir, name))
-        return artifacts[-1]
-
-    if state is not None:
-        state.save(path("checkpoint.json"), path("model.json"))
-    if curve is not None:
-        _write_csv(path("curves.csv"), curve_to_csv_rows(curve))
-    if report is not None:
-        _write_json(path("metrics.json"), report)
-        _write_csv(path("per_step.csv"), per_step_table(report))
-    _write_manifest(out_dir, cfg, artifacts)
 
 
 def cmd_train(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
     result = run_two_stage(cfg, splits, dataset.graph, log=print if args.verbose else None)
-    _write_run(args.out, cfg, result.state, result.curve, result.report)
+    _write_run(args.out, cfg, *_model_and_curve(result.state, result.curve),
+               *_report(result.report))
     print(f"test MAE {result.report['overall']['mae']:.6f} "
           f"(best val MAE {result.best_val_mae:.6f})")
     return 0
@@ -164,7 +167,7 @@ def cmd_pretrain(args, cfg):
     dataset, splits = _load_dataset(args.data, cfg)
     state = init_state(cfg, dataset.graph)
     curve = pretrain(cfg, splits, dataset.graph, state, log=print if args.verbose else None).curve
-    _write_run(args.out, cfg, state, curve)
+    _write_run(args.out, cfg, *_model_and_curve(state, curve))
     if curve:
         print(f"final pretrain loss {curve[-1].train_loss:.6f}")
     return 0
@@ -178,7 +181,7 @@ def cmd_finetune(args, cfg):
     curve, _ = finetune(cfg, splits, dataset.graph, state, stream(cfg.seed, "batch-order"),
                         log=print if args.verbose else None)
     report = test_report(cfg, splits, dataset.graph, state)
-    _write_run(args.out, cfg, state, curve, report)
+    _write_run(args.out, cfg, *_model_and_curve(state, curve), *_report(report))
     print(f"test MAE {report['overall']['mae']:.6f}")
     return 0
 
@@ -186,16 +189,10 @@ def cmd_finetune(args, cfg):
 def cmd_evaluate(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
-    state = ModelState.load(args.checkpoint, args.model_manifest)
-    # the model scores only windows of the shape it was trained on
-    run = dataclasses.asdict(cfg.encoder_config(dataset.graph.n_nodes))
-    for key, value in dataclasses.asdict(state.config).items():
-        if value != run[key]:
-            source = "dataset" if key == "n_nodes" else "config"
-            raise ValueError(f"model manifest {args.model_manifest}: {key} is {value!r}, "
-                             f"but the run's {source} has {key}={run[key]!r}")
+    state = ModelState.load(args.checkpoint, args.model_manifest,
+                            cfg.encoder_config(dataset.graph.n_nodes))
     report = test_report(cfg, splits, dataset.graph, state)
-    _write_run(args.out, cfg, report=report)
+    _write_run(args.out, cfg, *_report(report))
     print(f"test MAE {report['overall']['mae']:.6f}")
     return 0
 
@@ -208,11 +205,9 @@ def cmd_ablate(args, cfg):
     dataset, splits = _load_dataset(args.data, cfg)
     ablation = run_ablation(splits, dataset.graph, cfg, seeds,
                             log=print if args.verbose else None)
-    table_path = os.path.join(args.out, "ablation.csv")
-    _write_csv(table_path, ablation_csv_rows(ablation))
-    summary_path = os.path.join(args.out, "ablation_summary.json")
-    _write_json(summary_path, ablation["summary"])
-    _write_manifest(args.out, cfg, [table_path, summary_path])
+    header = ["variant", "seed", "mae", "rmse", "mape"]
+    _write_run(args.out, cfg, _table("ablation.csv", header, ablation["rows"]),
+               (["ablation_summary.json"], partial(_write_json, payload=ablation["summary"])))
     for variant, stats in ablation["summary"].items():
         print(f"{variant}: MAE {stats['mae']:.6f} +/- {stats['mae_std']:.6f}")
     return 0
@@ -228,11 +223,11 @@ def cmd_sweep(args, cfg):
     dataset, splits = _load_dataset(args.data, cfg)
     sweep = sensitivity_sweep(splits, dataset.graph, cfg, ps_grid, pt_grid, seeds,
                               log=print if args.verbose else None)
-    heat_path = os.path.join(args.out, "heatmap.csv")
-    _write_csv(heat_path, heatmap_csv_rows(sweep))
-    argmin_path = os.path.join(args.out, "argmin.json")
-    _write_json(argmin_path, sweep["argmin"])
-    _write_manifest(args.out, cfg, [heat_path, argmin_path])
+    # header row: the p_t values; first column: the p_s values; cells: seed-mean val MAE
+    heatmap = [["p_s\\p_t", *pt_grid]]
+    heatmap += [[p_s, *row] for p_s, row in zip(ps_grid, sweep["val_mae"])]
+    _write_run(args.out, cfg, (["heatmap.csv"], partial(_write_csv, rows=heatmap)),
+               (["argmin.json"], partial(_write_json, payload=sweep["argmin"])))
     print(f"best cell p_s={sweep['argmin']['p_s']} p_t={sweep['argmin']['p_t']} "
           f"val MAE {sweep['argmin']['val_mae']:.6f}")
     return 0

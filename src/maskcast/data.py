@@ -159,9 +159,7 @@ def save_csv(dataset, values_path, edges_path, meta_path):
     with open(values_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        flat = dataset.values.reshape(t_total, n * c)
-        for row in flat:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(dataset.values.reshape(t_total, n * c))
     save_edge_list(dataset.graph, edges_path)
     with open(meta_path, "w") as fh:
         json.dump({"n_nodes": n, "n_features": c, "period_seconds": dataset.period}, fh)
@@ -219,9 +217,8 @@ def _is_float(cell):
         return False
 
 
+DATASET_FILES = ("dataset_values.csv", "dataset_edges.csv", "dataset_meta.json")
+
+
 def dataset_paths(directory):
-    return (
-        os.path.join(directory, "dataset_values.csv"),
-        os.path.join(directory, "dataset_edges.csv"),
-        os.path.join(directory, "dataset_meta.json"),
-    )
+    return tuple(os.path.join(directory, name) for name in DATASET_FILES)

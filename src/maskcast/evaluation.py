@@ -45,15 +45,6 @@ def metrics(y_hat, y, denorm=None):
     }
 
 
-def per_step_table(report):
-    """CSV rows (step, mae, rmse, mape) ordered by horizon step."""
-    rows = [["step", "mae", "rmse", "mape"]]
-    for entry in report["per_step"]:
-        mape = "" if entry["mape"] is None else repr(entry["mape"])
-        rows.append([entry["step"], repr(entry["mae"]), repr(entry["rmse"]), mape])
-    return rows
-
-
 def run_ablation(splits, g, base_cfg, seeds, log=None):
     """Train every masking variant per seed with identical budgets.
 
@@ -90,14 +81,6 @@ def run_ablation(splits, g, base_cfg, seeds, log=None):
     return {"rows": rows, "summary": summary}
 
 
-def ablation_csv_rows(ablation):
-    rows = [["variant", "seed", "mae", "rmse", "mape"]]
-    for r in ablation["rows"]:
-        mape = "" if r["mape"] is None else repr(r["mape"])
-        rows.append([r["variant"], r["seed"], repr(r["mae"]), repr(r["rmse"]), mape])
-    return rows
-
-
 def sensitivity_sweep(splits, g, base_cfg, ps_grid, pt_grid, seeds, log=None):
     """Seed-mean validation MAE over a (p_s, p_t) grid, plus the argmin cell."""
     from .training import run_two_stage
@@ -115,17 +98,7 @@ def sensitivity_sweep(splits, g, base_cfg, ps_grid, pt_grid, seeds, log=None):
                 log(f"sweep p_s={p_s} p_t={p_t}: val MAE {heat[i, j]:.6f}")
     argmin = np.unravel_index(np.argmin(heat), heat.shape)
     return {
-        "ps_grid": list(ps_grid),
-        "pt_grid": list(pt_grid),
         "val_mae": heat,
         "argmin": {"p_s": ps_grid[argmin[0]], "p_t": pt_grid[argmin[1]],
                    "val_mae": float(heat[argmin])},
     }
-
-
-def heatmap_csv_rows(sweep):
-    """Header row = p_t values, first column = p_s values, cells = MAE."""
-    rows = [["p_s\\p_t"] + [repr(float(p)) for p in sweep["pt_grid"]]]
-    for i, p_s in enumerate(sweep["ps_grid"]):
-        rows.append([repr(float(p_s))] + [repr(float(v)) for v in sweep["val_mae"][i]])
-    return rows

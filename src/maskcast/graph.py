@@ -175,10 +175,7 @@ def _transition_cdf(g, prev, cur, cfg):
 
 def save_edge_list(g, path):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "weight"])
-        for u, v, w in g.edges:
-            writer.writerow([u, v, repr(float(w))])
+        csv.writer(fh).writerows([("u", "v", "weight"), *g.edges])
 
 
 def _bad_edge(path, line, what, row):

@@ -9,7 +9,7 @@ inputs [B, H, N, C] and single windows [H, N, C] are both accepted.
 """
 
 import json
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -75,14 +75,22 @@ class ModelState:
             json.dump(asdict(self.config), fh, indent=2)
 
     @classmethod
-    def load(cls, checkpoint_path, manifest_path):
+    def load(cls, checkpoint_path, manifest_path, config):
+        """The checkpoint's model, whose manifest must match the run's ``config``:
+        the model scores only windows of the shape it was trained on."""
         with open(manifest_path) as fh:
             values = json.load(fh)
-        names = {f.name for f in fields(EncoderConfig)}
-        for problem, keys in (("unknown", set(values) - names), ("missing", names - set(values))):
+        if not isinstance(values, dict):
+            raise ValueError(f"model manifest {manifest_path}: expected a JSON object")
+        run = asdict(config)
+        for problem, keys in (("unknown", values.keys() - run), ("missing", run.keys() - values)):
             if keys:
                 raise ValueError(f"model manifest {manifest_path}: {problem} keys {sorted(keys)}")
-        config = EncoderConfig(**values)
+        for key, want in run.items():
+            if values[key] != want:
+                source = "dataset" if key == "n_nodes" else "config"
+                raise ValueError(f"model manifest {manifest_path}: {key} is {values[key]!r}, "
+                                 f"but the run's {source} has {key}={want!r}")
         state = cls.initialize(config, np.random.default_rng(0))
         state.params.load_values(ad.load_checkpoint(checkpoint_path))
         return state

@@ -459,12 +459,3 @@ def run_two_stage(cfg, splits, g, log=None):
                      sampler_calls=pre.sampler_calls,
                      final_pretrain_temporal_mae=pre.final_temporal_mae,
                      pretrain_loss_totals=pre.loss_totals)
-
-
-def curve_to_csv_rows(curve):
-    """stage,epoch,train_loss,val_mae rows for the learning-curve log."""
-    rows = [["stage", "epoch", "train_loss", "val_mae"]]
-    for point in curve:
-        val = "" if point.val_mae is None else repr(point.val_mae)
-        rows.append([point.stage, point.epoch, repr(point.train_loss), val])
-    return rows

@@ -1,14 +1,18 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from maskcast import data as data_mod
-from maskcast.cli import ConfigError, _write_json, load_config, main
+from maskcast.cli import ConfigError, _write_csv, _write_json, load_config, main
+from maskcast.evaluation import metrics
 from maskcast.model import EncoderConfig
+from maskcast.training import CurvePoint
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +24,29 @@ def data_dir(tmp_path_factory):
 
 FAST = ["--set", "pretrain_epochs=1", "--set", "finetune_epochs=1",
         "--set", "batch_size=64", "--set", "hidden_dim=4"]
+
+WRITERS = ["generate", "train", "pretrain", "finetune", "evaluate", "ablate", "sweep"]
+
+
+@pytest.fixture(scope="module")
+def outputs(data_dir, tmp_path_factory):
+    """The --out directory of one run of each command that writes files, by command."""
+    root = tmp_path_factory.mktemp("outputs")
+    data = ["--data", data_dir] + FAST
+    argvs = {
+        "generate": ["--nodes", "5", "--steps", "220"],
+        "train": data,
+        "pretrain": data,
+        "finetune": data + ["--checkpoint", str(root / "pretrain" / "checkpoint.json")],
+        "evaluate": data + ["--checkpoint", str(root / "finetune" / "checkpoint.json"),
+                            "--model-manifest", str(root / "finetune" / "model.json")],
+        "ablate": data + ["--seeds", "0"],
+        "sweep": data + ["--seeds", "0", "--ps-grid", "0.2", "--pt-grid", "0.3"],
+    }
+    assert list(argvs) == WRITERS
+    for command, argv in argvs.items():
+        assert main([command, "--out", str(root / command)] + argv) == 0
+    return root
 
 
 class TestLoadConfig:
@@ -90,6 +117,88 @@ class TestGenerate:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+class TestSingleWriter:
+    """Every command's files go through one writer, whose manifest hashes
+    exactly the files it wrote."""
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_manifest_hashes_exactly_the_files_written(self, outputs, command):
+        out = outputs / command
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir() if p.name != "manifest.json"}
+        assert manifest["artifacts"] == written
+
+    @pytest.mark.parametrize("command, extra", [
+        ("generate", []), ("train", []), ("pretrain", []),
+        ("ablate", ["--seeds", "0"]), ("sweep", ["--seeds", "0"]),
+    ])
+    def test_out_that_cannot_be_made_exits_two_before_any_run(
+            self, data_dir, tmp_path, capsys, monkeypatch, command, extra):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before --out was made")
+
+        monkeypatch.setattr("maskcast.training.run_two_stage", no_run)
+        monkeypatch.setattr("maskcast.cli.run_two_stage", no_run)
+        monkeypatch.setattr("maskcast.cli.pretrain", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        data = [] if command == "generate" else ["--data", data_dir]
+        assert main([command, "--out", str(blocker / "out")] + data + extra + FAST) == 2
+        assert str(blocker / "out") in capsys.readouterr().err
+
+    def test_csv_cells_rendered_by_str(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_csv(path, [["a", "b"], [0.1 + 0.2, np.float64(0.1) + np.float64(0.2)],
+                          [7, "x", None, 1.0]])
+        assert path.read_bytes() == (b"a,b\r\n0.30000000000000004,0.30000000000000004\r\n"
+                                     b"7,x,,1.0\r\n")
+
+
+class TestTables:
+    """The CSV tables the CLI writes: header rows, floats in their shortest
+    round-trip form, and an absent value as an empty cell."""
+
+    def lines(self, path):
+        return path.read_bytes().decode().split("\r\n")
+
+    def test_per_step_table(self, data_dir, outputs, tmp_path, monkeypatch):
+        y = np.full((2, 3, 1, 1), 10.0)
+        y[:, 1] = 0.0  # below the MAPE floor: step 2 has no MAPE
+        monkeypatch.setattr("maskcast.cli.test_report", lambda *args: metrics(y + 1.0, y))
+        fin = outputs / "finetune"
+        assert main(["evaluate", "--data", data_dir, "--out", str(tmp_path),
+                     "--checkpoint", str(fin / "checkpoint.json"),
+                     "--model-manifest", str(fin / "model.json")] + FAST) == 0
+        assert self.lines(tmp_path / "per_step.csv") == [
+            "step,mae,rmse,mape", "1,1.0,1.0,10.0", "2,1.0,1.0,", "3,1.0,1.0,10.0", ""]
+
+    def test_ablation_table(self, data_dir, tmp_path, monkeypatch):
+        row = {"variant": "full", "seed": 0, "mae": 1.0, "rmse": 2.0, "mape": None}
+        summary = {"full": {"mae": 1.0, "mae_std": 0.0}}
+        monkeypatch.setattr("maskcast.cli.run_ablation",
+                            lambda *args, **kwargs: {"rows": [row], "summary": summary})
+        assert main(["ablate", "--data", data_dir, "--out", str(tmp_path)] + FAST) == 0
+        assert self.lines(tmp_path / "ablation.csv") == [
+            "variant,seed,mae,rmse,mape", "full,0,1.0,2.0,", ""]
+
+    def test_heatmap_table(self, data_dir, tmp_path, monkeypatch):
+        sweep = {"val_mae": np.array([[1.5], [2.5]]),
+                 "argmin": {"p_s": 0.2, "p_t": 0.3, "val_mae": 1.5}}
+        monkeypatch.setattr("maskcast.cli.sensitivity_sweep", lambda *args, **kwargs: sweep)
+        assert main(["sweep", "--data", data_dir, "--out", str(tmp_path),
+                     "--ps-grid", "0.2,0.5", "--pt-grid", "0.3"] + FAST) == 0
+        assert self.lines(tmp_path / "heatmap.csv") == ["p_s\\p_t,0.3", "0.2,1.5", "0.5,2.5", ""]
+
+    def test_curve_table(self, data_dir, tmp_path, monkeypatch):
+        curve = [CurvePoint("pretrain", 0, 0.5), CurvePoint("finetune", 0, 0.25, 0.125)]
+        monkeypatch.setattr("maskcast.cli.pretrain",
+                            lambda *args, **kwargs: SimpleNamespace(curve=curve))
+        assert main(["pretrain", "--data", data_dir, "--out", str(tmp_path)] + FAST) == 0
+        assert self.lines(tmp_path / "curves.csv") == [
+            "stage,epoch,train_loss,val_mae", "pretrain,0,0.5,", "finetune,0,0.25,0.125", ""]
+
+
 class TestTrainPipeline:
     def test_train_twice_identical_metrics(self, data_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -131,7 +240,6 @@ class TestTrainPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["pretrain_epochs"] == 1
         assert "metrics.json" in manifest["artifacts"]
-        import hashlib
         digest = hashlib.sha256((out / "metrics.json").read_bytes()).hexdigest()
         assert manifest["artifacts"]["metrics.json"] == digest
 
@@ -318,11 +426,9 @@ class TestCheckpointChecks:
     """A malformed model manifest or checkpoint, or one that names what the model
     lacks, fails with exit 2."""
 
-    @pytest.fixture(scope="class")
-    def trained(self, data_dir, tmp_path_factory):
-        out = tmp_path_factory.mktemp("trained")
-        assert main(["train", "--data", data_dir, "--out", str(out)] + FAST) == 0
-        return out
+    @pytest.fixture
+    def trained(self, outputs):
+        return outputs / "train"
 
     def evaluate(self, data_dir, tmp_path, checkpoint, manifest, extra=()):
         return main(["evaluate", "--data", data_dir, "--out", str(tmp_path / "eval"),
@@ -358,6 +464,21 @@ class TestCheckpointChecks:
         assert self.evaluate(wide, tmp_path, trained / "checkpoint.json", trained / "model.json",
                              ["--set", "input_dim=2"]) == 2
         assert "input_dim is 1, but the run's config has input_dim=2" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: {**m, "hidden_dim": "4"}, "hidden_dim is '4', but the run's config has hidden_dim=4"),
+        (lambda m: 7, "expected a JSON object"),
+        (lambda m: {**m, "hidden_dim": -4}, "hidden_dim is -4, but the run's config has hidden_dim=4"),
+        (lambda m: [1, 2], "expected a JSON object"),
+        (lambda m: {**m, "history": True}, "history is True, but the run's config has history=12"),
+    ], ids=["string", "number", "negative", "list", "bool"])
+    def test_malformed_model_manifest(self, data_dir, trained, tmp_path, capsys, edit, message):
+        manifest = json.loads((trained / "model.json").read_text())
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(edit(manifest)))
+        assert self.evaluate(data_dir, tmp_path, trained / "checkpoint.json", bad) == 2
+        assert f"model manifest {bad}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "metrics.json").exists()
 
     def test_unknown_manifest_key(self, data_dir, trained, tmp_path, capsys):

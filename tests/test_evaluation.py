@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from maskcast.evaluation import (MAPE_FLOOR, ablation_csv_rows,
-                                 heatmap_csv_rows, metrics, per_step_table)
+from maskcast.evaluation import MAPE_FLOOR, metrics
 
 
 def naive_metrics(y_hat, y, floor=MAPE_FLOOR):
@@ -92,29 +91,3 @@ class TestMetricsAgainstNaiveOracle:
                                    10.0 * plain["overall"]["mae"], rtol=1e-12)
         # MAPE shrinks: same absolute spread around much larger targets
         assert scaled["overall"]["mape"] < plain["overall"]["mape"]
-
-
-class TestTables:
-    def test_per_step_table_layout(self):
-        y = np.full((2, 3, 1, 1), 10.0)
-        y_hat = y + 1.0
-        rows = per_step_table(metrics(y_hat, y))
-        assert rows[0] == ["step", "mae", "rmse", "mape"]
-        assert len(rows) == 4
-        assert rows[1][0] == 1 and rows[3][0] == 3
-        assert rows[1][1] == "1.0"
-
-    def test_ablation_csv_rows(self):
-        ablation = {"rows": [{"variant": "full", "seed": 0, "mae": 1.0,
-                              "rmse": 2.0, "mape": None}]}
-        rows = ablation_csv_rows(ablation)
-        assert rows[0] == ["variant", "seed", "mae", "rmse", "mape"]
-        assert rows[1] == ["full", 0, "1.0", "2.0", ""]
-
-    def test_heatmap_csv_rows(self):
-        sweep = {"ps_grid": [0.2, 0.5], "pt_grid": [0.3],
-                 "val_mae": np.array([[1.5], [2.5]])}
-        rows = heatmap_csv_rows(sweep)
-        assert rows[0] == ["p_s\\p_t", "0.3"]
-        assert rows[1] == ["0.2", "1.5"]
-        assert rows[2] == ["0.5", "2.5"]

@@ -701,7 +701,7 @@ class TestModelStateIO:
         ckpt = tmp_path / "ckpt.json"
         manifest = tmp_path / "model.json"
         state.save(ckpt, manifest)
-        loaded = ModelState.load(ckpt, manifest)
+        loaded = ModelState.load(ckpt, manifest, state.config)
         assert loaded.config == state.config
         for path, tensor in state.params.items():
             assert (loaded.params[path].data == tensor.data).all()

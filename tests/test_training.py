@@ -12,7 +12,7 @@ from maskcast.model import (ModelState, encoder_forward,
                             mask_sampling_graph, model_adjacency, spatial_decoder,
                             temporal_decoder)
 from maskcast.seeding import stream
-from maskcast.training import (RunConfig, curve_to_csv_rows, finetune_step,
+from maskcast.training import (RunConfig, finetune_step,
                                loss_pred, loss_pretrain, loss_spatial,
                                loss_temporal, init_state, pretrain_forward,
                                run_two_stage, sample_mask_plan, sample_negative_edges)
@@ -423,7 +423,7 @@ class TestRunTwoStage:
                 monkeypatch.setattr(ad, "_WORKERS", workers)
                 result = run_two_stage(cfg, splits, g)
                 runs.append(({p: t.data.tobytes() for p, t in result.state.params.items()},
-                             curve_to_csv_rows(result.curve), repr(result.report)))
+                             repr(result.curve), repr(result.report)))
         finally:
             if ad._pool is not None:
                 ad._pool.shutdown()
@@ -522,14 +522,3 @@ class TestDivergenceGuard:
         splits, g = self.splits_with_nan(190)
         with pytest.raises(ValueError, match=r"finetune epoch 0: non-finite validation MAE nan"):
             run_two_stage(small_cfg(), splits, g)
-
-
-class TestCurveCsv:
-    def test_rows_round_numbers(self):
-        from maskcast.training import CurvePoint
-
-        rows = curve_to_csv_rows([CurvePoint("pretrain", 0, 0.5),
-                                  CurvePoint("finetune", 0, 0.25, 0.125)])
-        assert rows[0] == ["stage", "epoch", "train_loss", "val_mae"]
-        assert rows[1] == ["pretrain", 0, "0.5", ""]
-        assert rows[2] == ["finetune", 0, "0.25", "0.125"]
