@@ -778,7 +778,16 @@ def load_checkpoint(path):
         missing = sorted({"shape", "values"} - set(entry))
         if missing:
             raise ValueError(f"checkpoint {path}: parameter {p!r} missing keys {missing}")
-        out[p] = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        shape = entry["shape"]
+        # a JSON true is not a dimension, and numpy would infer a -1
+        if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+            raise ValueError(f"checkpoint {path}: parameter {p!r} shape must be a list of "
+                             f"non-negative integers, got {shape!r}")
+        try:
+            out[p] = np.asarray(entry["values"], dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError):
+            raise ValueError(f"checkpoint {path}: parameter {p!r} values are not "
+                             f"{int(np.prod(shape))} numbers for shape {shape}")
     return out
 
 

@@ -184,7 +184,7 @@ def load_csv(values_path, edges_path, meta_path):
     rows = []
     with open(values_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header row and fails the check below
         if len(header) != n * c:
             raise ValueError(
                 f"values file {values_path}: expected {n * c} columns "

@@ -187,7 +187,7 @@ def load_edge_list(path, n_nodes):
     lo, hi, weights, lines = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header row and fails the check below
         if header[:3] != ["u", "v", "weight"]:
             raise ValueError(f"edge list {path}: expected header u,v,weight, got {header}")
         for row in reader:

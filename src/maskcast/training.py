@@ -121,38 +121,30 @@ def loss_pred(y_hat, y):
 def loss_spatial(a_hat, masked_edges, negative_edges=None, logits=False):
     """Mean -log A_hat over masked undirected pairs (each counted once, u < v).
 
-    ``a_hat`` may be [N, N] or batched [B, N, N]; batched entries average
-    over the batch too. With negatives supplied, non-edges contribute
-    -log(1 - A_hat) and the mean runs over both sets. With ``logits``,
-    ``a_hat`` holds logits x and A_hat is sigmoid(x): the terms are
-    softplus(-x) and softplus(x) of the gathered pairs, finite at any
-    finite logit.
+    ``a_hat`` may be [N, N] or batched [B, N, N]. With negatives supplied,
+    non-edges contribute -log(1 - A_hat). One gather picks the masked edges,
+    then the negatives, for each batch item; a sign s, +1 at an edge and -1
+    at a negative, gives each pair its term, and the mean runs over
+    B * (|masked| + |negatives|) entries. With ``logits``, ``a_hat`` holds
+    logits x and A_hat is sigmoid(x), so the loss is finite at any finite x.
     """
     if not masked_edges:
         return Tensor(0.0)
     n = a_hat.shape[-1]
     batch = int(np.prod(a_hat.shape[:-2])) if len(a_hat.shape) > 2 else 1
-
-    def picked(pairs):
-        # sorted pairs, each as (min, max), repeated per batch item
-        lo_hi = np.sort(np.asarray(sorted(pairs), dtype=np.int64), axis=1)
-        within = lo_hi[:, 0] * n + lo_hi[:, 1]
-        flat = (np.arange(batch, dtype=np.int64)[:, None] * (n * n) + within).reshape(-1)
-        return ad.gather_flat(a_hat, flat)
-
+    negatives = sorted(negative_edges or ())
+    # sorted pairs, each as (min, max), repeated per batch item
+    lo_hi = np.sort(np.asarray(sorted(masked_edges) + negatives, dtype=np.int64), axis=1)
+    flat = np.ravel_multi_index((np.arange(batch)[:, None], *lo_hi.T), (batch, n, n)).reshape(-1)
+    sign = np.tile(np.repeat([1.0, -1.0], [len(masked_edges), len(negatives)]), batch)
+    scored = ad.gather_flat(a_hat, flat)
     if logits:
         # -log sigmoid(x) = softplus(-x) and -log(1 - sigmoid(x)) = softplus(x)
-        total = ad.tsum(ad.softplus(ad.scale(picked(masked_edges), -1.0)))
-        if negative_edges:
-            total = ad.add(total, ad.tsum(ad.softplus(picked(negative_edges))))
-        sign = 1.0
+        nll = ad.softplus(ad.mul(scored, Tensor(-sign)))
     else:
-        total = ad.tsum(ad.tlog(picked(masked_edges)))
-        if negative_edges:
-            total = ad.add(total, ad.tsum(ad.tlog(ad.sub(Tensor(1.0), picked(negative_edges)))))
-        sign = -1.0
-    count = batch * (len(masked_edges) + len(negative_edges or ()))
-    return ad.scale(total, sign / count)
+        # s p + (1 - s) / 2 is p at an edge and 1 - p at a negative
+        nll = ad.scale(ad.tlog(ad.add(ad.mul(scored, Tensor(sign)), Tensor((1.0 - sign) / 2))), -1.0)
+    return ad.scale(ad.tsum(nll), 1.0 / len(flat))
 
 
 def loss_temporal(x_hat, x, patch_mask):

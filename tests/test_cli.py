@@ -368,6 +368,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert message in err and f"line {n_lines}:" in err
 
+    @pytest.mark.parametrize("name", ["dataset_values.csv", "dataset_edges.csv"])
+    def test_empty_file(self, data_dir, tmp_path, capsys, name):
+        bad = tmp_path / "bad"
+        shutil.copytree(data_dir, bad)
+        (bad / name).write_bytes(b"")
+        assert main(["train", "--data", str(bad), "--out", str(tmp_path / "run")] + FAST) == 2
+        err = capsys.readouterr().err
+        assert str(bad / name) in err and "Traceback" not in err
+
 
 def feature_copy(data_dir, tmp_path, n_features=2):
     """The dataset with its series repeated as a second, negated feature
@@ -523,6 +532,23 @@ class TestCheckpointChecks:
         assert self.evaluate(data_dir, tmp_path, bad, trained / "model.json") == 2
         err = capsys.readouterr().err
         assert f"checkpoint {bad}: {message}" in err
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"shape": "ab"}, "shape must be a list of non-negative integers, got 'ab'"),
+        ({"shape": [1.5, 4]}, "shape must be a list of non-negative integers, got [1.5, 4]"),
+        ({"shape": [-1, 4]}, "shape must be a list of non-negative integers, got [-1, 4]"),
+        ({"values": {"a": 1}}, "values are not 4 numbers for shape [1, 4]"),
+    ], ids=["string-shape", "float-dimension", "inferred-dimension", "values-object"])
+    def test_malformed_checkpoint_entry(self, data_dir, trained, tmp_path, capsys, entry, message):
+        checkpoint = json.loads((trained / "checkpoint.json").read_text())
+        assert checkpoint["embed.w"]["shape"] == [1, 4]
+        checkpoint["embed.w"].update(entry)
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(checkpoint))
+        assert self.evaluate(data_dir, tmp_path, bad, trained / "model.json") == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {bad}: parameter 'embed.w' {message}" in err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
 
 def test_non_finite_metric_never_written(tmp_path):

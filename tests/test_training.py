@@ -129,6 +129,51 @@ class TestLossSpatial:
         nonzero = np.argwhere(a_hat.grad != 0)
         assert nonzero.tolist() == [[0, 1]]
 
+    # masked edges and negatives of a 6-node graph: disjoint, each pair once
+    MASKED, NEGATIVES = {(0, 1), (4, 2), (3, 5)}, [(1, 5), (0, 4)]
+
+    @pytest.mark.parametrize("logits", [True, False], ids=["logits", "probabilities"])
+    @pytest.mark.parametrize("negatives", [None, NEGATIVES], ids=["edges", "negatives"])
+    def test_one_gather_per_call(self, monkeypatch, logits, negatives):
+        calls = []
+        gather = ad.gather_flat
+        monkeypatch.setattr(ad, "gather_flat", lambda a, idx: calls.append(idx) or gather(a, idx))
+        loss_spatial(Tensor(np.full((2, 6, 6), 0.5)), self.MASKED, negatives, logits=logits)
+        assert len(calls) == 1
+
+    @staticmethod
+    def two_gather_loss(a_hat, masked, negatives, logits):
+        """The edge loss as two pipelines, one gather and one sum per pair set."""
+        n = a_hat.shape[-1]
+        batch = a_hat.size // (n * n)
+
+        def picked(pairs):
+            within = np.array([min(p) * n + max(p) for p in sorted(pairs)])
+            return ad.gather_flat(a_hat, (np.arange(batch)[:, None] * n * n + within).reshape(-1))
+
+        if logits:
+            total = ad.add(ad.tsum(ad.softplus(ad.scale(picked(masked), -1.0))),
+                           ad.tsum(ad.softplus(picked(negatives))))
+        else:
+            total = ad.add(ad.tsum(ad.tlog(picked(masked))),
+                           ad.tsum(ad.tlog(ad.sub(Tensor(1.0), picked(negatives)))))
+        return ad.scale(total, (1.0 if logits else -1.0) / (batch * (len(masked) + len(negatives))))
+
+    @pytest.mark.parametrize("logits", [True, False], ids=["logits", "probabilities"])
+    def test_one_gather_keeps_the_two_gather_gradient(self, logits):
+        x = np.random.default_rng(5).normal(size=(3, 6, 6))
+        grads, losses = [], []
+        for loss_fn in (loss_spatial, self.two_gather_loss):
+            a_hat = Tensor(x if logits else 1.0 / (1.0 + np.exp(-x)), requires_grad=True)
+            a_hat.zero_grad()
+            loss = loss_fn(a_hat, self.MASKED, self.NEGATIVES, logits)
+            ad.backward(loss)
+            grads.append(a_hat.grad)
+            losses.append(loss.item())
+        assert np.array_equal(grads[0], grads[1])
+        assert np.count_nonzero(grads[0]) == 3 * (len(self.MASKED) + len(self.NEGATIVES))
+        np.testing.assert_allclose(losses[0], losses[1], rtol=1e-15, atol=0)
+
 
 class TestLossTemporal:
     def test_masked_rows_only(self):
