@@ -785,9 +785,15 @@ def load_checkpoint(path):
                              f"non-negative integers, got {shape!r}")
         try:
             out[p] = np.asarray(entry["values"], dtype=np.float64).reshape(shape)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float64
             raise ValueError(f"checkpoint {path}: parameter {p!r} values are not "
                              f"{int(np.prod(shape))} numbers for shape {shape}")
+        # numpy also converts "1.5" and true, and json reads NaN and Infinity
+        bad = [v for v in np.asarray(entry["values"], dtype=object).reshape(-1)
+               if type(v) not in (int, float) or not np.isfinite(v)]
+        if bad:
+            raise ValueError(f"checkpoint {path}: parameter {p!r} values must be finite "
+                             f"numbers, got {bad[0]!r}")
     return out
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (Graph, gaussian_threshold_graph, load_edge_list,
-                    normalize_adjacency, save_edge_list)
+                    normalize_adjacency, numeric_body, save_edge_list)
 from .seeding import stream
 
 STEP_SECONDS = 300.0  # synthetic series are sampled every 5 minutes
@@ -181,30 +181,32 @@ def load_csv(values_path, edges_path, meta_path):
         raise ValueError(f"meta file {meta_path}: period_seconds must be a positive finite number, "
                          f"got {period!r}")
 
-    rows = []
     with open(values_path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(iter(fh.readline, ""))  # readline keeps fh.tell() usable
         header = next(reader, [])  # an empty file has no header row and fails the check below
         if len(header) != n * c:
             raise ValueError(
                 f"values file {values_path}: expected {n * c} columns "
                 f"({n} nodes x {c} features), got {len(header)}"
             )
-        for r, row in enumerate(reader):
-            if len(row) != n * c:
-                raise ValueError(f"values file {values_path}: row {r + 1} has {len(row)} cells, expected {n * c}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(i for i, cell in enumerate(row) if not _is_float(cell))
-                raise ValueError(f"values file {values_path}: non-numeric cell at row {r + 1}, column {bad}")
-    values = np.asarray(rows).reshape(len(rows), n * c)
+        values = numeric_body(fh, np.float64, ndmin=2)
+        if values is None or values.shape[1] != n * c:
+            rows = []
+            for r, row in enumerate(reader):
+                if len(row) != n * c:
+                    raise ValueError(f"values file {values_path}: row {r + 1} has {len(row)} cells, expected {n * c}")
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError:
+                    bad = next(i for i, cell in enumerate(row) if not _is_float(cell))
+                    raise ValueError(f"values file {values_path}: non-numeric cell at row {r + 1}, column {bad}")
+            values = np.asarray(rows).reshape(len(rows), n * c)
     finite = np.isfinite(values)
     if not finite.all():
         r, col = np.argwhere(~finite)[0]
         raise ValueError(f"values file {values_path}: non-finite cell {float(values[r, col])} "
                          f"at row {r + 1}, column {col}")
-    values = values.reshape(len(rows), n, c)
+    values = values.reshape(len(values), n, c)
     g = load_edge_list(edges_path, n_nodes=n)
     return Dataset(values=values, period=period, graph=g)
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -380,6 +381,20 @@ class TestCheckpoint:
         other.add("w", np.zeros((3, 2)))
         with pytest.raises(ValueError, match="shape mismatch"):
             other.load_values(load_checkpoint(path))
+
+    @pytest.mark.parametrize("text, shown", [
+        ('["1.5", "2"]', "'1.5'"),
+        ("[true, false]", "True"),
+        ("[NaN, 2]", "nan"),
+        ("[-Infinity, 2]", "-inf"),
+        ('["nan", 2]', "'nan'"),
+    ], ids=["string", "bool", "json-nan", "json-infinity", "string-nan"])
+    def test_value_not_a_finite_number_rejected(self, tmp_path, text, shown):
+        path = tmp_path / "ckpt.json"
+        path.write_text('{"w": {"shape": [2], "values": %s}}' % text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: parameter 'w' values must be finite numbers, got {shown}")):
+            load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
         params = ParameterTree()

@@ -354,6 +354,10 @@ class TestBadInput:
         ("0,2,inf", "finite and positive"),
         ("0,2,0.0", "finite and positive"),
         ("0,2,-0.5", "finite and positive"),
+        ("", "expected integers u, v and a numeric weight"),
+        ("1.0,2,1.0", "expected integers u, v and a numeric weight"),
+        ("0,2,#1.0", "expected integers u, v and a numeric weight"),
+        ("0,1_5,1.0", "outside [0, 6)"),
     ])
     def test_bad_edge(self, data_dir, tmp_path, capsys, edge, message):
         def edit(lines):
@@ -548,6 +552,27 @@ class TestCheckpointChecks:
         assert self.evaluate(data_dir, tmp_path, bad, trained / "model.json") == 2
         err = capsys.readouterr().err
         assert f"checkpoint {bad}: parameter 'embed.w' {message}" in err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    def test_non_finite_checkpoint_value(self, data_dir, trained, tmp_path, capsys, monkeypatch,
+                                         command):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a forecast or training step ran")
+
+        monkeypatch.setattr("maskcast.cli.finetune", no_step)
+        monkeypatch.setattr("maskcast.cli.test_report", no_step)
+        checkpoint = json.loads((trained / "checkpoint.json").read_text())
+        checkpoint["embed.b"]["values"][0] = "nan"
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(checkpoint))
+        if command == "evaluate":
+            assert self.evaluate(data_dir, tmp_path, bad, trained / "model.json") == 2
+        else:
+            assert main(["finetune", "--data", data_dir, "--out", str(tmp_path / "eval"),
+                         "--checkpoint", str(bad)] + FAST) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {bad}: parameter 'embed.b' values must be finite numbers, got 'nan'" in err
         assert not (tmp_path / "eval" / "metrics.json").exists()
 
 

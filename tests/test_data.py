@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -130,13 +131,17 @@ class TestPrepareSplits:
 
 
 class TestCsvIO:
-    def test_round_trip_bitwise(self, tmp_path):
-        ds = synthesize(6, 250, seed=4)
+    @pytest.mark.parametrize("n_nodes, n_steps, seed", [(6, 250, 4), (200, 200, 1)],
+                             ids=["6-nodes", "200-nodes"])
+    def test_round_trip_bitwise(self, tmp_path, n_nodes, n_steps, seed):
+        ds = synthesize(n_nodes, n_steps, seed=seed)
         paths = dataset_paths(tmp_path)
         save_csv(ds, *paths)
         loaded = load_csv(*paths)
-        assert (loaded.values == ds.values).all()
-        assert loaded.graph.edge_set() == ds.graph.edge_set()
+        assert loaded.values.shape == ds.values.shape
+        assert loaded.values.tobytes() == ds.values.tobytes()
+        assert loaded.graph.adjacency.tobytes() == ds.graph.adjacency.tobytes()
+        assert loaded.graph.edges == ds.graph.edges
         assert loaded.period == ds.period
 
     def test_wide_dataset_round_trip(self, tmp_path):
@@ -195,3 +200,65 @@ class TestCsvIO:
         open(paths[0], "w").write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="row 2, column 1"):
             load_csv(*paths)
+
+    # numpy's reader skips blank lines and rejects quoted cells and digit
+    # underscores; the csv loop decides those files
+    @staticmethod
+    def edited(tmp_path, edit_values, edit_edges=lambda text: text):
+        """A saved dataset, loaded, then its values and edge files edited as
+        text; csv.writer ends each line with \\r\\n."""
+        paths = dataset_paths(tmp_path)
+        save_csv(synthesize(3, 250, seed=0), *paths)
+        before = load_csv(*paths)
+        for path, edit in zip(paths, (edit_values, edit_edges)):
+            with open(path, newline="") as fh:
+                text = fh.read()
+            with open(path, "w", newline="") as fh:
+                fh.write(edit(text))
+        return before, paths
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\r\n", "\n"),
+        lambda text: text.removesuffix("\r\n"),
+        lambda text: "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\r\n"
+                             for line in text.splitlines()),
+    ], ids=["lf", "no-last-newline", "quoted"])
+    def test_same_values_from_another_layout(self, tmp_path, edit):
+        before, paths = self.edited(tmp_path, edit, edit)
+        loaded = load_csv(*paths)
+        assert loaded.values.tobytes() == before.values.tobytes()
+        assert loaded.graph.adjacency.tobytes() == before.graph.adjacency.tobytes()
+        assert loaded.graph.edges == before.graph.edges
+
+    @pytest.mark.parametrize("cell, value", [('"1.5"', 1.5), ("1_5", 15.0), (" 2.5 ", 2.5)],
+                             ids=["quoted", "underscore", "spaces"])
+    def test_cell_read_as_float_reads_it(self, tmp_path, cell, value):
+        def edit(text):
+            header, first, rest = text.split("\r\n", 2)
+            return "\r\n".join([header, ",".join([cell] + first.split(",")[1:]), rest])
+
+        before, paths = self.edited(tmp_path, edit)
+        loaded = load_csv(*paths)
+        assert loaded.values[0, 0, 0] == value
+        assert loaded.values.reshape(-1)[1:].tobytes() == before.values.reshape(-1)[1:].tobytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("", "row 2 has 0 cells, expected 3"),
+        ("  ", "row 2 has 1 cells, expected 3"),
+        ("1.0,#2,3.0", "non-numeric cell at row 2, column 1"),
+    ], ids=["blank", "spaces", "comment"])
+    def test_body_line_rejected(self, tmp_path, line, message):
+        def edit(text):
+            header, first, rest = text.split("\r\n", 2)
+            return "\r\n".join([header, first, line, rest])
+
+        _, paths = self.edited(tmp_path, edit)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(*paths)
+
+    def test_header_only_values_file(self, tmp_path):
+        _, paths = self.edited(tmp_path, lambda text: text.split("\r\n")[0] + "\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a file with no data rows
+            loaded = load_csv(*paths)
+        assert loaded.values.shape == (0, 3, 1)

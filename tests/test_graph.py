@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from maskcast import autodiff as ad
 from maskcast.autodiff import ParameterTree, Tensor, finite_diff_check
 from maskcast.graph import (Graph, WalkConfig, adaptive_adjacency,
                             biased_random_walk, gaussian_threshold_graph,
-                            graph_from_adjacency, load_edge_list, normalize_adjacency, save_edge_list,
-                            sparsify_topk)
+                            graph_from_adjacency, load_edge_list, normalize_adjacency, numeric_body,
+                            save_edge_list, sparsify_topk)
 
 from conftest import random_graph
 
@@ -265,3 +267,26 @@ class TestEdgeListIO:
         path.write_text("a,b,c\n0,1,1.0\n")
         with pytest.raises(ValueError, match="header"):
             load_edge_list(path, n_nodes=2)
+
+    @pytest.mark.parametrize("body, rows", [
+        ("1,2\r\n3,4\r\n", 2),
+        ("1,2\n3,4", 2),
+        ("1,2\r3,4\r", 2),
+        ("0" * 65535 + "\r\n1,2\r\n", None),  # one cell per line: the column counts differ
+        ("0" * 65535 + "\r\n1\r\n", 2),  # the first \r\n is cut between two read chunks
+        ("1,2\n\n3,4\n", None),
+        ("1,2\r\n \r\n3,4\r\n", None),
+        ('"1",2\n', None),
+        ("1_5,2\n", None),
+        ("\r\n\r\n", None),
+        ("", None),
+    ], ids=["crlf", "lf-no-last-newline", "cr", "ragged", "crlf-across-chunks", "blank", "spaces",
+            "quoted", "underscore", "only-blank", "empty"])
+    def test_numeric_body_stands_only_with_one_row_per_line(self, tmp_path, body, rows):
+        path = tmp_path / "body.csv"
+        path.write_bytes(body.encode())
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a file with no data rows
+            table = numeric_body(fh, np.float64, ndmin=2)
+            assert fh.tell() == 0
+        assert (table is None) if rows is None else len(table) == rows
