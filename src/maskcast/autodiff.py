@@ -330,8 +330,12 @@ def tlog(a):
 
 def softplus(a):
     """log(1 + exp(x)) elementwise, finite for every finite x."""
-    with np.errstate(invalid="ignore"):  # a NaN input gives NaN, as in every other kernel
-        y = np.logaddexp(0.0, a.data)
+    # max(x, 0) + log1p(exp(-|x|)): exp never overflows, and a NaN stays NaN
+    y = np.abs(a.data)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    np.log1p(y, out=y)
+    y += np.maximum(a.data, 0.0)
     out = Tensor(y)
 
     def backward(g):
@@ -455,37 +459,36 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     columns. Each gate GEMM contracts over all E + D rows at once, which
     keeps the output on an embedded window (W_e = I, b_e = 0, no masked
     step) bitwise equal to multiplying A by the concatenated [e_t, h]; a
-    split into two K-halves would not. The update and reset gates are one GEMM on [Wu|Wr], built per call, so
-    checkpoints keep the three separate gate weights.
+    split into two K-halves would not. The update and reset gates are one
+    GEMM on [Wu|Wr], built per call, so checkpoints keep the three separate
+    gate weights.
 
     Backward is one reverse-time loop that applies A^T only to the h-side
-    gradients, D columns each, and leaves the pre-activation gradients
-    dpre. Every x-side gradient then comes from whole-array reductions
-    over dpre at K columns. With W_x the gate weights' first E rows,
-    P = (A l)^T dpre [K, 3D] stacks three of them: (A x)^T dpre over the
-    kept steps, the (A 1)-weighted sum of dpre over the kept steps and the
-    same sum over the masked steps. The gate weights' x-rows get
-    M^T P = W_e^T P_x + b_e P_b + token P_m, and M gets P W_x^T: the
-    gradients of W_e, b_e and the token. A learned adjacency's x-side term
-    is sum_t (dpre_t (M W_x)^T) l_t^T, which is (dpre (W_e W_x)^T) x^T plus
-    (dpre W_x^T b_e, or token) 1^T, one product over all steps. The h-rows'
-    gradients come from the cached A h and A (r h), one GEMM each, and a
-    learned adjacency adds one [N, N] product per A product and step.
-    Neither pass makes an [..., H, N, E] array.
+    gradients, D columns each. Step t's pre-activation gradients dpre_t
+    live in a one-step buffer, and every sum over steps that reads them is
+    taken right there, per batch item, into a running sum per item. With
+    W_x the gate weights' first E rows, the sums are the h-rows' gradients
+    (A h)^T dpre_ur and (A (r h))^T dpre_c, the bias sums 1^T dpre, and
+    P = (A l)^T dpre [K, 3D]. P stacks the x-side terms at K columns:
+    (A x)^T dpre over the kept steps, the (A 1)-weighted sum of dpre over
+    the kept steps and the same sum over the masked steps. After the loop
+    the gate weights' x-rows get M^T P = W_e^T P_x + b_e P_b + token P_m,
+    and M gets P W_x^T: the gradients of W_e, b_e and the token. A learned
+    adjacency gets sum_t (dL/d(A v_t)) v_t^T over its three products,
+    v = r h, h and l, with dL/d(A l_t) = dpre_t (M W_x)^T: one [N, N] GEMM
+    per item and step, over the three stacked side by side. No pass makes
+    an [..., H, N, E] array, and backward keeps no array over all H steps
+    beyond the forward's caches.
 
     The lead axes are flattened into one batch axis, whose items never
     interact. The batch is cut into contiguous ranges, one per CPU in the
     process's affinity mask, when each range keeps enough work per step; a
     single window is never cut. Each range runs the A l product, the
     forward recurrence and the reverse-time loop on its own rows, in
-    preallocated buffers, so the threads allocate nothing large. The
-    products after the reverse loop that sum over the batch (the weight
-    GEMMs, the bias GEMV, the x-side reductions and the learned adjacency's
-    [N, N] terms) are jobs on the same threads: each is whole, one numpy
-    call, never split by rows, and the calling thread adds the adjacency
-    terms up in a fixed order once the jobs have joined. The adjacency
-    terms that read the recurrence caches run first, and the caches are
-    freed before the x-side reductions. Outputs and gradients are therefore
+    buffers allocated once per call, so the threads allocate nothing
+    large. Each item's sums run over the steps in the same order whatever
+    range holds it, and the calling thread adds the items up in index
+    order once the ranges have joined. Outputs and gradients are therefore
     bitwise the same for any number of ranges, so for any number of CPUs.
     Under a multi-threaded BLAS, its own thread pool shares the same cores.
 
@@ -574,21 +577,35 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     out = Tensor(h_out.reshape(lead + (n, d)))
 
     def backward(g):
-        nonlocal hs, us, rs, cs
         a_t = a.T
         w_ur_h = w_ur[cx:].T  # [2D, D]
         wc_h = w_c[cx:].T
+        w_x = np.concatenate([w_ur[:cx], w_c[:cx]], axis=1)  # [E, 3D]
+        mw_x = (m_emb @ w_x).T  # dL/d(A l) = dpre (M W_x)^T
+        learned = adjacency.requires_grad
         g = g.reshape(batch, n, d)
-        # pre-activation gradients [update | reset | candidate], per step
-        dpre = np.empty((hist, batch, n, 3 * d))
+        # one step: the pre-activation gradients [update | reset | candidate],
+        # dL/d[A (r h), A h, A l] and, for a learned A, [r h, h, l]
+        dpre = np.empty((batch, n, 3 * d))
+        dz = np.empty((batch, n, 2 * d + k))
+        zv = np.empty((batch, n, 2 * d + k)) if learned else None
         work = np.empty((4, batch, n, d))
+        ones = np.ones(n)
+        # per-item sums over the steps and one step's terms: rows
+        # [h-rows of dW (D) | P (K) | db (1)]; and for a learned A, each
+        # item's dA and one [N, N] term per range
+        sw = np.zeros((2, batch, d + k + 1, 3 * d))
+        a_steps = [None] * len(ranges)
+        if learned:
+            sa, a_steps = np.zeros((batch, n, n)), np.empty((len(ranges), n, n))
 
-        def reverse_rows(lo, hi):
+        def reverse_rows(lo, hi, a_step):
             s1, s2, *spare = work[:, lo:hi]
+            dp, z = dpre[lo:hi], dz[lo:hi]
+            w_sum, w_step = sw[:, lo:hi]
             dh = g[lo:hi]
             for i, t in enumerate(reversed(range(hist))):
                 h_prev, u, r, c = hs[t, lo:hi], us[t, lo:hi], rs[t, lo:hi], cs[t, lo:hi]
-                dp = dpre[t, lo:hi]
                 dh_prev = np.multiply(dh, u, out=spare[i % 2])
                 np.multiply(c, c, out=s1)
                 np.subtract(1.0, s1, out=s1)
@@ -599,62 +616,46 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
                 s1 *= u
                 np.subtract(1.0, u, out=s2)
                 np.multiply(s1, s2, out=dp[..., :d])
-                # u and c are read for the last time above; their slots now
-                # keep dL/d(A (r h)) and dL/d(A h) for the adjacency gradient
-                darh = np.matmul(dpre_c, wc_h, out=c)
+                darh = np.matmul(dpre_c, wc_h, out=z[..., :d])
                 drh_r = np.matmul(a_t, darh, out=s1)
                 drh_r *= r
                 dh_prev += drh_r
                 drh_r *= h_prev
                 np.multiply(drh_r, np.subtract(1.0, r, out=s2), out=dp[..., d:2 * d])
-                dah = np.matmul(dp[..., :2 * d], w_ur_h, out=u)
+                dah = np.matmul(dp[..., :2 * d], w_ur_h, out=z[..., d:2 * d])
                 dh_prev += np.matmul(a_t, dah, out=s1)
                 dh = dh_prev
+                # step t's terms of every sum over steps, one product per item
+                np.matmul(ahs[t, lo:hi].swapaxes(1, 2), dp[..., :2 * d], out=w_step[:, :d, :2 * d])
+                np.matmul(arhs[t, lo:hi].swapaxes(1, 2), dpre_c, out=w_step[:, :d, 2 * d:])
+                np.matmul(al[t, lo:hi].swapaxes(1, 2), dp, out=w_step[:, d:d + k])
+                np.matmul(ones, dp, out=w_step[:, d + k])
+                w_sum += w_step
+                if learned:
+                    # dA sums (dL/d(A v)) v^T over the channels of every A product
+                    v = zv[lo:hi]
+                    np.matmul(dp, mw_x, out=z[..., 2 * d:])
+                    np.multiply(r, h_prev, out=v[..., :d])
+                    v[..., d:2 * d] = h_prev
+                    v[..., 2 * d:] = lift[t, lo:hi]
+                    for j in range(hi - lo):
+                        sa[lo + j] += np.matmul(z[j], v[j].T, out=a_step)
 
-        threads = len(ranges)
-        _run_ranges([partial(reverse_rows, lo, hi) for lo, hi in ranges], threads)
-        work = None
-        # the products after the loop are jobs on the same threads, each one
-        # numpy call; the calling thread accumulates their results in a fixed
-        # order once they have joined
-        axes = ([0, -1],) * 2
-        da = jobs = None
-        if adjacency.requires_grad:
-            # dA sums (dL/d(A v)) v^T over the batch and channel axes of each A product
-            def rh_term(t):
-                return np.tensordot(cs[t], np.multiply(rs[t], hs[t], out=rs[t]), axes=axes)
-
-            jobs = [job for t in reversed(range(hist))
-                    for job in (partial(rh_term, t), partial(np.tensordot, us[t], hs[t], axes=axes))]
-            da = np.zeros_like(a)
-            for term in _run_ranges(jobs, threads):
-                da += term
-        # the last readers of these caches are done
-        hs = us = rs = cs = jobs = None
-        flat = dpre.reshape(-1, 3 * d)
-        w_x = np.concatenate([w_ur[:cx], w_c[:cx]], axis=1)  # [E, 3D]
-        dw = np.empty((cx + d, 3 * d))
-        jobs = [partial(np.matmul, ahs.reshape(-1, d).T, flat[:, :2 * d], out=dw[cx:, :2 * d]),
-                partial(np.matmul, arhs.reshape(-1, d).T, flat[:, 2 * d:], out=dw[cx:, 2 * d:]),
-                partial(np.matmul, al.reshape(-1, k).T, flat),  # P
-                # a GEMV: numpy's column sum walks row by row
-                partial(np.matmul, np.ones(len(flat)), flat)]
-        if da is not None:
-            # dL/d(A l) = dpre (M W_x)^T
-            jobs.append(partial(np.matmul, flat, (m_emb @ w_x).T))
-        _, _, p, db, *dal = _run_ranges(jobs, threads)
-        np.matmul(m_emb.T, p, out=dw[:cx])
+        _run_ranges([partial(reverse_rows, lo, hi, a_step)
+                     for (lo, hi), a_step in zip(ranges, a_steps)], len(ranges))
+        # the items' sums, added in index order
+        total = sw[0].sum(axis=0)
+        p = total[d:d + k]
+        dw = np.concatenate([m_emb.T @ p, total[:d]])
         dm = p @ w_x.T  # rows: W_e, b_e, then the token
-        if da is not None:
-            da += np.tensordot(dal[0].reshape(-1, n, k), lift.reshape(-1, n, k),
-                               axes=([0, 2], [0, 2]))
-            _accumulate(adjacency, da, owned=True)
+        if learned:
+            _accumulate(adjacency, sa.sum(axis=0), owned=True)
         grads = [(embed_w, dm[:c_in]), (embed_b, dm[c_in])]
         if masked:
             grads.append((token, dm[c_in + 1]))
         for i, (w, b) in enumerate(gates):
             cols = slice(i * d, (i + 1) * d)
-            grads += [(w, dw[:, cols]), (b, db[cols])]
+            grads += [(w, dw[:, cols]), (b, total[d + k, cols])]
         for t, grad in grads:
             _accumulate(t, grad)
 

@@ -133,6 +133,11 @@ def _load_dataset(data_dir, cfg):
     if n_features != cfg.input_dim:
         raise ValueError(f"dataset {data_dir} has n_features={n_features}, "
                          f"but the config has input_dim={cfg.input_dim}")
+    rows, needed = len(dataset.values), cfg.history + cfg.horizon + data_mod.MIN_WINDOWS - 1
+    if rows < needed:
+        raise ValueError(f"values file {values}: {rows} rows, but history {cfg.history} + "
+                         f"horizon {cfg.horizon} needs at least {needed} rows "
+                         f"({data_mod.MIN_WINDOWS} windows)")
     splits = data_mod.prepare_splits(dataset, cfg.history, cfg.horizon)
     return dataset, splits
 

@@ -15,6 +15,7 @@ STEP_SECONDS = 300.0  # synthetic series are sampled every 5 minutes
 DAY_STEPS = 288  # one synthetic day at that resolution
 GRAPH_EPSILON = 0.5  # Gaussian-kernel weight below which synthetic node pairs are unlinked
 TRAIN_FRACTION, VAL_FRACTION = 0.6, 0.2  # the 6:2:2 chronological split; test is the rest
+MIN_WINDOWS = 5  # the fewest windows that split into non-empty train, validation and test
 
 
 @dataclass
@@ -127,8 +128,8 @@ def make_windows(values, history, horizon):
 def chrono_split(windows):
     """6:2:2 split by window start index; no window is dropped."""
     n = len(windows)
-    if n < 5:
-        raise ValueError(f"need at least 5 windows to split, got {n}")
+    if n < MIN_WINDOWS:
+        raise ValueError(f"need at least {MIN_WINDOWS} windows to split, got {n}")
     n_train = int(n * TRAIN_FRACTION)
     n_val = int(n * VAL_FRACTION)
     return windows[:n_train], windows[n_train:n_train + n_val], windows[n_train + n_val:]

@@ -215,6 +215,14 @@ class TestSoftplus:
         sigmoid = 1.0 / (1.0 + np.exp(-x.data[1:-1]))
         np.testing.assert_allclose(x.grad, [0.0, *sigmoid, 1.0], rtol=1e-15)
 
+    def test_extreme_and_non_finite_inputs(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.softplus(Tensor(np.array([-1e300, -800.0, 0.0, 800.0, 1e300]))).data
+            special = ad.softplus(Tensor(np.array([np.inf, -np.inf, np.nan]))).data
+        assert out.tolist() == [0.0, 0.0, np.log(2.0), 800.0, 1e300]
+        assert special[0] == np.inf and special[1] == 0.0 and np.isnan(special[2])
+
 
 class TestFiniteDiffCheck:
     def test_sum_of_squares(self):

@@ -381,6 +381,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert str(bad / name) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("rows", [0, 23])  # none, and history + horizon - 1
+    def test_too_few_rows_for_five_windows(self, data_dir, tmp_path, capsys, rows):
+        bad = self.corrupt(data_dir, tmp_path, "dataset_values.csv", lambda lines: lines[:1 + rows])
+        assert main(["train", "--data", bad, "--out", str(tmp_path / "run")] + FAST) == 2
+        err = capsys.readouterr().err
+        path = os.path.join(bad, "dataset_values.csv")
+        assert f"values file {path}: {rows} rows" in err and "at least 28 rows" in err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
 
 def feature_copy(data_dir, tmp_path, n_features=2):
     """The dataset with its series repeated as a second, negated feature

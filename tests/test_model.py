@@ -381,11 +381,11 @@ class TestGraphGRURanges:
             got = self.run(lead, learned, taped, **shape)
             ranges = min(count, batch)
             # every call runs on one thread per range; the forward recurrence
-            # and the reverse-time loop are one job per range, and a taped
-            # backward adds the learned adjacency's wave and the x-side one
+            # and the reverse-time loop are one job per range, and the
+            # reverse loop does every sum over steps, so no wave follows it
             assert {threads for _, threads in seen} == {ranges}
             assert [jobs for jobs, _ in seen[:1 + taped]] == [ranges] * (1 + taped)
-            assert len(seen) == 1 + taped * (2 + learned)
+            assert len(seen) == 1 + taped
             self.assert_same_bits(got, want)
 
     def test_more_ranges_than_cores_under_fast_switching(self, monkeypatch):
@@ -471,10 +471,38 @@ class TestGraphGRURanges:
             force_ranges(monkeypatch, count)
             self.assert_same_bits(self.run_kernel((5,), n, c, 16), want)
 
+    @pytest.mark.parametrize("learned", [False, True])
+    def test_taped_call_holds_no_stack_of_pre_activation_gradients(self, monkeypatch, learned):
+        # past the forward's caches, forward and backward together hold less
+        # than one [H, B, N, D] array: the backward's buffers are one step
+        # wide, so an [H, B, N, 3D] array of gradients would cross the bound.
+        # At N = 40 those buffers and the per-item sums take about 20
+        # [B, N, D] arrays with a learned A, so the window has H = 24 steps
+        force_ranges(monkeypatch, 2)
+        batch, hist, n, c, d = 8, 24, 40, 1, 16
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(batch, hist, n, c))
+        adjacency = Tensor(normalize_adjacency(random_graph(n, 3 * n, seed=3)), requires_grad=learned)
+        leaves = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
+                  for shape in [(c, d), (d,)] + [(2 * d, d), (d,)] * 3 + [(d,)]]
+        *weights, token = leaves
+        tracemalloc.start()
+        try:
+            out = ad.graph_gru(x, weights[0], weights[1], adjacency, *weights[2:],
+                               np.arange(0, hist, 3), token)
+            ad.backward(ad.tsum(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = hist * batch * n * 8  # bytes per channel of a [H, B, N, .] array
+        caches = unit * (6 * d + 2 * (c + 2))  # h, A h, A (r h), u, r, c; l and A l
+        assert (adjacency.grad is not None) == learned and token.grad is not None
+        assert caches <= peak < caches + unit * d
+
     def test_backward_makes_no_embedding_sized_x_side_array(self, monkeypatch):
-        # backward's large arrays are dpre and the reverse loop's scratch;
-        # every x-side array has K = C + 2 channels, far fewer than D, so
-        # one [H, B, N, D] array more would cross the bound
+        # backward's large arrays are the reverse loop's one-step buffers
+        # and per-item sums; every x-side array has K = C + 2 channels, far
+        # fewer than D, so one [H, B, N, D] array more would cross the bound
         force_ranges(monkeypatch, 2)
         batch, hist, n, c, d = 16, 24, 10, 1, 16
         rng = np.random.default_rng(0)
@@ -492,7 +520,12 @@ class TestGraphGRURanges:
         finally:
             tracemalloc.stop()
         unit = hist * batch * n * 8  # bytes per channel of a [H, B, N, .] array
-        held = unit * 3 * d + 4 * batch * n * d * 8  # dpre, and the loop's four [B, N, D]
+        k = c + 2
+        # one step's dpre, dz, zv and four [B, N, D] of scratch, the per-item
+        # sums and step terms of the weights, each item's dA and one [N, N]
+        # step term per range
+        held = 8 * (batch * (n * (3 * d + 2 * (2 * d + k) + 4 * d)
+                             + 2 * (d + k + 1) * 3 * d + n * n) + 2 * n * n)
         assert adjacency.grad is not None and token.grad is not None
         assert held <= peak < held + unit * d
 
