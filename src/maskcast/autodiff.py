@@ -13,8 +13,7 @@ desk-scale.
 
 import json
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
 import numpy as np
@@ -368,14 +367,15 @@ def reshape(a, shape):
 
 
 # graph_gru cuts its batch into contiguous ranges, one per CPU this process
-# may run on, and runs them on a thread pool; numpy releases the GIL inside
-# each call. A range is cut off only while every range keeps at least
-# _MIN_RANGE_STEP elements of hidden state per step: below that, with one BLAS
-# thread, the GIL hand-offs between the threads' many short numpy calls cost
-# about what the second core saves. On a 2-vCPU x86 guest with one BLAS
-# thread, forward plus backward split in two ran 0.85x as fast at
-# [16, 20, 16], even at [128, 20, 16] and 1.5x as fast at [32, 100, 16] and
-# [32, 200, 16] (shapes [B, N, D], 12 steps).
+# may run on, and runs the first on the calling thread and the others on a
+# thread pool; numpy releases the GIL inside each call. A range is cut off
+# only while every range keeps at least _MIN_RANGE_STEP elements of hidden
+# state per step: below that, with one BLAS thread, the GIL hand-offs
+# between the threads' many short numpy calls cost about what the second
+# core saves. On a 2-vCPU x86 guest with one BLAS thread, forward plus
+# backward split in two ran 0.85x as fast at [16, 20, 16], even at
+# [128, 20, 16] and 1.5x as fast at [32, 100, 16] and [32, 200, 16]
+# (shapes [B, N, D], 12 steps).
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # platforms without affinity masks
@@ -392,42 +392,24 @@ def _batch_ranges(batch, item_step):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _run_ranges(jobs, threads):
-    """Call every job of ``jobs``, a list of no-argument callables, on up to
-    ``threads`` threads: this one takes the next job not yet started from
-    the front, the pool's from the back. Returns the jobs' results in job
-    order. Every job runs and is waited for; then the first error in job
-    order is raised. Jobs must call only numpy: a span tracer may wrap this
-    module's functions with a stack that is not thread-safe."""
+def _run_ranges(jobs):
+    """Call every job of ``jobs``, a list of no-argument callables: the first
+    on this thread, the others on the pool. Every job runs and is waited
+    for; then the first error in job order is raised. Jobs must call only
+    numpy: a span tracer may wrap this module's functions with a stack that
+    is not thread-safe."""
     global _pool
-    results = [None] * len(jobs)
-    errors = [None] * len(jobs)
-    todo = deque(enumerate(jobs))
-
-    def drain(take):
-        while True:
-            try:
-                i, job = take()
-            except IndexError:
-                return
-            try:
-                results[i] = job()
-            except BaseException as exc:  # raised below, once every job is done
-                errors[i] = exc
-
-    threads = min(threads, len(jobs))
     futures = []
-    if threads > 1:
+    if len(jobs) > 1:
         if _pool is None:
             _pool = ThreadPoolExecutor(max_workers=_WORKERS - 1, thread_name_prefix="graph_gru")
-        futures = [_pool.submit(drain, todo.pop) for _ in range(threads - 1)]
-    drain(todo.popleft)
+        futures = [_pool.submit(job) for job in jobs[1:]]
+    try:
+        jobs[0]()
+    finally:
+        wait(futures)
     for f in futures:
         f.result()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), token=None):
@@ -483,7 +465,8 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     The lead axes are flattened into one batch axis, whose items never
     interact. The batch is cut into contiguous ranges, one per CPU in the
     process's affinity mask, when each range keeps enough work per step; a
-    single window is never cut. Each range runs the A l product, the
+    single window is never cut. The calling thread runs the first range
+    and a thread pool the others. Each range runs the A l product, the
     forward recurrence and the reverse-time loop on its own rows, in
     buffers allocated once per call, so the threads allocate nothing
     large. Each item's sums run over the steps in the same order whatever
@@ -570,7 +553,7 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
             h *= u
             h += tmp
 
-    _run_ranges([partial(forward_rows, lo, hi) for lo, hi in ranges], len(ranges))
+    _run_ranges([partial(forward_rows, lo, hi) for lo, hi in ranges])
     conv_ws = gate_ws = tmp_ws = None
     if not adjacency.requires_grad:  # only a learned adjacency's gradient reads it
         lift = None
@@ -642,7 +625,7 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
                         sa[lo + j] += np.matmul(z[j], v[j].T, out=a_step)
 
         _run_ranges([partial(reverse_rows, lo, hi, a_step)
-                     for (lo, hi), a_step in zip(ranges, a_steps)], len(ranges))
+                     for (lo, hi), a_step in zip(ranges, a_steps)])
         # the items' sums, added in index order
         total = sw[0].sum(axis=0)
         p = total[d:d + k]
@@ -738,19 +721,9 @@ class ParameterTree:
         return {p: t.data.copy() for p, t in self._entries.items()}
 
     def load_values(self, values):
-        unknown = sorted(set(values) - set(self._entries))
-        if unknown:
-            raise ValueError(f"checkpoint has unknown parameters {unknown}")
+        """Copy in a snapshot keyed by every path, with each path's shape."""
         for path, t in self._entries.items():
-            if path not in values:
-                raise ValueError(f"checkpoint missing parameter {path!r}")
-            arr = np.asarray(values[path], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValueError(
-                    f"checkpoint shape mismatch for {path!r}: "
-                    f"expected {tuple(t.data.shape)}, got {tuple(arr.shape)}"
-                )
-            t.data = arr.copy()
+            t.data = values[path].copy()
 
 
 def save_checkpoint(params, path):
@@ -766,8 +739,8 @@ def save_checkpoint(params, path):
         json.dump(payload, fh)
 
 
-def load_checkpoint(path):
-    """Read a checkpoint into a dict of arrays, keyed by parameter path."""
+def load_checkpoint(path, params):
+    """Read a checkpoint into ``params``, whose paths and shapes it must match."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -795,7 +768,16 @@ def load_checkpoint(path):
         if bad:
             raise ValueError(f"checkpoint {path}: parameter {p!r} values must be finite "
                              f"numbers, got {bad[0]!r}")
-    return out
+    unknown = sorted(set(out) - {p for p, _ in params.items()})
+    if unknown:
+        raise ValueError(f"checkpoint {path}: unknown parameters {unknown}")
+    for p, t in params.items():
+        if p not in out:
+            raise ValueError(f"checkpoint {path}: missing parameter {p!r}")
+        if out[p].shape != t.data.shape:
+            raise ValueError(f"checkpoint {path}: shape mismatch for {p!r}: "
+                             f"expected {t.data.shape}, got {out[p].shape}")
+    params.load_values(out)
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults

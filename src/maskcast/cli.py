@@ -182,7 +182,7 @@ def cmd_finetune(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
     state = init_state(cfg, dataset.graph)
-    state.params.load_values(ad.load_checkpoint(args.checkpoint))
+    ad.load_checkpoint(args.checkpoint, state.params)
     curve, _ = finetune(cfg, splits, dataset.graph, state, stream(cfg.seed, "batch-order"),
                         log=print if args.verbose else None)
     report = test_report(cfg, splits, dataset.graph, state)

@@ -76,8 +76,9 @@ class ModelState:
 
     @classmethod
     def load(cls, checkpoint_path, manifest_path, config):
-        """The checkpoint's model, whose manifest must match the run's ``config``:
-        the model scores only windows of the shape it was trained on."""
+        """The checkpoint's model, whose manifest must match the run's ``config``
+        in value and JSON type: the model scores only windows of the shape it
+        was trained on."""
         with open(manifest_path) as fh:
             values = json.load(fh)
         if not isinstance(values, dict):
@@ -87,12 +88,12 @@ class ModelState:
             if keys:
                 raise ValueError(f"model manifest {manifest_path}: {problem} keys {sorted(keys)}")
         for key, want in run.items():
-            if values[key] != want:
+            if type(values[key]) is not type(want) or values[key] != want:
                 source = "dataset" if key == "n_nodes" else "config"
                 raise ValueError(f"model manifest {manifest_path}: {key} is {values[key]!r}, "
                                  f"but the run's {source} has {key}={want!r}")
         state = cls.initialize(config, np.random.default_rng(0))
-        state.params.load_values(ad.load_checkpoint(checkpoint_path))
+        ad.load_checkpoint(checkpoint_path, state.params)
         return state
 
 

@@ -375,7 +375,7 @@ class TestCheckpoint:
         restored = ParameterTree()
         restored.add("enc.w", np.zeros((3, 4)))
         restored.add("enc.b", np.zeros(4))
-        restored.load_values(load_checkpoint(path))
+        load_checkpoint(path, restored)
         assert (restored["enc.w"].data == params["enc.w"].data).all()
         assert (restored["enc.b"].data == params["enc.b"].data).all()
 
@@ -387,8 +387,9 @@ class TestCheckpoint:
 
         other = ParameterTree()
         other.add("w", np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            other.load_values(load_checkpoint(path))
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: shape mismatch for 'w': expected (3, 2), got (2, 2)")):
+            load_checkpoint(path, other)
 
     @pytest.mark.parametrize("text, shown", [
         ('["1.5", "2"]', "'1.5'"),
@@ -402,7 +403,7 @@ class TestCheckpoint:
         path.write_text('{"w": {"shape": [2], "values": %s}}' % text)
         with pytest.raises(ValueError, match=re.escape(
                 f"checkpoint {path}: parameter 'w' values must be finite numbers, got {shown}")):
-            load_checkpoint(path)
+            load_checkpoint(path, ParameterTree())
 
     def test_missing_parameter_rejected(self, tmp_path):
         params = ParameterTree()
@@ -411,10 +412,12 @@ class TestCheckpoint:
         save_checkpoint(params, path)
 
         other = ParameterTree()
-        other.add("w", np.zeros(2))
+        other.add("w", np.ones(2))
         other.add("extra", np.zeros(2))
-        with pytest.raises(ValueError, match="extra"):
-            other.load_values(load_checkpoint(path))
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: missing parameter 'extra'")):
+            load_checkpoint(path, other)
+        assert (other["w"].data == 1.0).all()  # checked before anything loads
 
     def test_unknown_parameter_rejected(self, tmp_path):
         params = ParameterTree()
@@ -425,6 +428,7 @@ class TestCheckpoint:
 
         other = ParameterTree()
         other.add("w", np.ones(2))
-        with pytest.raises(ValueError, match="unknown parameters \\['stale'\\]"):
-            other.load_values(load_checkpoint(path))
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: unknown parameters ['stale']")):
+            load_checkpoint(path, other)
         assert (other["w"].data == 1.0).all()

@@ -494,7 +494,10 @@ class TestCheckpointChecks:
         (lambda m: {**m, "hidden_dim": -4}, "hidden_dim is -4, but the run's config has hidden_dim=4"),
         (lambda m: [1, 2], "expected a JSON object"),
         (lambda m: {**m, "history": True}, "history is True, but the run's config has history=12"),
-    ], ids=["string", "number", "negative", "list", "bool"])
+        # equal in value to the run's 1 and 4, but not integers
+        (lambda m: {**m, "input_dim": True}, "input_dim is True, but the run's config has input_dim=1"),
+        (lambda m: {**m, "hidden_dim": 4.0}, "hidden_dim is 4.0, but the run's config has hidden_dim=4"),
+    ], ids=["string", "number", "negative", "list", "bool", "bool-equal", "float-equal"])
     def test_malformed_model_manifest(self, data_dir, trained, tmp_path, capsys, edit, message):
         manifest = json.loads((trained / "model.json").read_text())
         bad = tmp_path / "model.json"
@@ -527,7 +530,27 @@ class TestCheckpointChecks:
         bad = tmp_path / "checkpoint.json"
         bad.write_text(json.dumps(checkpoint))
         assert self.evaluate(data_dir, tmp_path, bad, trained / "model.json") == 2
-        assert "unknown parameters ['encoder.extra.w']" in capsys.readouterr().err
+        assert f"checkpoint {bad}: unknown parameters ['encoder.extra.w']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ckpt: {p: e for p, e in ckpt.items() if p != "embed.b"},
+         "missing parameter 'embed.b'"),
+        (lambda ckpt: {**ckpt, "embed.w": {"shape": [1, 2], "values": [0.0, 1.0]}},
+         "shape mismatch for 'embed.w': expected (1, 4), got (1, 2)"),
+    ], ids=["missing", "shape"])
+    def test_checkpoint_does_not_fit_the_model(self, data_dir, trained, tmp_path, capsys,
+                                               command, edit, message):
+        checkpoint = json.loads((trained / "checkpoint.json").read_text())
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(edit(checkpoint)))
+        if command == "evaluate":
+            assert self.evaluate(data_dir, tmp_path, bad, trained / "model.json") == 2
+        else:
+            assert main(["finetune", "--data", data_dir, "--out", str(tmp_path / "eval"),
+                         "--checkpoint", str(bad)] + FAST) == 2
+        assert f"checkpoint {bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda ckpt: {**ckpt, "embed.b": {"values": ckpt["embed.b"]["values"]}},

@@ -369,9 +369,9 @@ class TestGraphGRURanges:
         seen = []
         run_ranges = ad._run_ranges
 
-        def spy(jobs, threads):
-            seen.append((len(jobs), threads))
-            return run_ranges(jobs, threads)
+        def spy(jobs):
+            seen.append(len(jobs))
+            run_ranges(jobs)
 
         monkeypatch.setattr(ad, "_run_ranges", spy)
         batch = int(np.prod(lead))
@@ -380,12 +380,10 @@ class TestGraphGRURanges:
             seen.clear()
             got = self.run(lead, learned, taped, **shape)
             ranges = min(count, batch)
-            # every call runs on one thread per range; the forward recurrence
-            # and the reverse-time loop are one job per range, and the
-            # reverse loop does every sum over steps, so no wave follows it
-            assert {threads for _, threads in seen} == {ranges}
-            assert [jobs for jobs, _ in seen[:1 + taped]] == [ranges] * (1 + taped)
-            assert len(seen) == 1 + taped
+            # the forward recurrence and the reverse-time loop are one job
+            # per range, and the reverse loop does every sum over steps, so
+            # no wave follows it
+            assert seen == [ranges] * (1 + taped)
             self.assert_same_bits(got, want)
 
     def test_more_ranges_than_cores_under_fast_switching(self, monkeypatch):
@@ -554,11 +552,15 @@ class TestRunRanges:
         if ad._pool is not None:
             ad._pool.shutdown()
 
-    def test_results_in_job_order(self):
-        jobs = [lambda i=i: i * i for i in range(7)]
-        for threads in (1, 2, 3):
-            assert ad._run_ranges(jobs, threads) == [i * i for i in range(7)]
-        assert ad._run_ranges([], 3) == []
+    def test_first_job_runs_on_the_calling_thread(self):
+        idents = [None] * 3
+
+        def job(i):
+            idents[i] = threading.get_ident()
+
+        ad._run_ranges([lambda i=i: job(i) for i in range(3)])
+        assert idents[0] == threading.get_ident()
+        assert None not in idents and threading.get_ident() not in idents[1:]
 
     def test_first_error_in_job_order_after_every_job(self):
         ran = []
@@ -577,7 +579,7 @@ class TestRunRanges:
             raise KeyError("second")
 
         with pytest.raises(RuntimeError, match="first"):
-            ad._run_ranges([first, second, lambda: ran.append("third")], 2)
+            ad._run_ranges([first, second, lambda: ran.append("third")])
         assert sorted(ran) == ["first", "second", "third"]
 
 
