@@ -450,12 +450,15 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     live in a one-step buffer, and every sum over steps that reads them is
     taken right there, per batch item, into a running sum per item. With
     W_x the gate weights' first E rows, the sums are the h-rows' gradients
-    (A h)^T dpre_ur and (A (r h))^T dpre_c, the bias sums 1^T dpre, and
-    P = (A l)^T dpre [K, 3D]. P stacks the x-side terms at K columns:
-    (A x)^T dpre over the kept steps, the (A 1)-weighted sum of dpre over
-    the kept steps and the same sum over the masked steps. After the loop
-    the gate weights' x-rows get M^T P = W_e^T P_x + b_e P_b + token P_m,
-    and M gets P W_x^T: the gradients of W_e, b_e and the token. A learned
+    (A h)^T dpre_ur and (r h)^T (A^T dpre_c), the bias sums 1^T dpre, and
+    P = (A l)^T dpre [K, 3D]. The candidate gate applies A^T to dpre_c
+    itself: Q = A^T dpre_c gives both its h-rows' term and
+    dL/d(r h) = Q Wc_h^T, so A (r h) is never kept. P stacks the x-side
+    terms at K columns: (A x)^T dpre over the kept steps, the
+    (A 1)-weighted sum of dpre over the kept steps and the same sum over
+    the masked steps. After the loop the gate weights' x-rows get
+    M^T P = W_e^T P_x + b_e P_b + token P_m, and M gets P W_x^T: the
+    gradients of W_e, b_e and the token. A learned
     adjacency gets sum_t (dL/d(A v_t)) v_t^T over its three products,
     v = r h, h and l, with dL/d(A l_t) = dpre_t (M W_x)^T: one [N, N] GEMM
     per item and step, over the three stacked side by side. No pass makes
@@ -475,9 +478,10 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     bitwise the same for any number of ranges, so for any number of CPUs.
     Under a multi-threaded BLAS, its own thread pool shares the same cores.
 
-    The per-step activations are cached only when a tensor input requires
-    grad; a forward-only call writes every step into the same one-step
-    buffers, which leaves its output bitwise unchanged.
+    The forward caches five per-step arrays [H, B, N, D]: h, A h, u, r and
+    c, besides l and A l. They span all H steps only when a tensor input
+    requires grad; a forward-only call writes every step into the same
+    one-step buffers, which leaves its output bitwise unchanged.
     """
     xd, a = np.asarray(x, dtype=np.float64), adjacency.data
     steps = np.asarray(steps, dtype=np.int64)
@@ -521,7 +525,7 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     m_emb = np.concatenate(rows)
     al = np.empty(lift.shape)
     hs = np.empty((hist, batch, n, d)) if taped else None
-    ahs, arhs, us, rs, cs = (np.empty((hist if taped else 1, batch, n, d)) for _ in range(5))
+    ahs, us, rs, cs = (np.empty((hist if taped else 1, batch, n, d)) for _ in range(4))
     h_out = np.empty((batch, n, d))
     conv_ws = np.empty((batch, n, cx + d))  # [A e_t, A h], then [A e_t, A (r h)]
     gate_ws = np.empty((batch, n, 2 * d))
@@ -533,7 +537,7 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
         h.fill(0.0)
         for t in range(hist):
             i = t if taped else 0
-            ah, arh, u, r, c = (buf[i, lo:hi] for buf in (ahs, arhs, us, rs, cs))
+            ah, u, r, c = (buf[i, lo:hi] for buf in (ahs, us, rs, cs))
             if taped:
                 hs[t, lo:hi] = h
             np.matmul(al[t, lo:hi], m_emb, out=conv[..., :cx])
@@ -544,7 +548,7 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
             e += 1.0
             np.divide(1.0, e[..., :d], out=u)
             np.divide(1.0, e[..., d:], out=r)
-            conv[..., cx:] = np.matmul(a, np.multiply(r, h, out=tmp), out=arh)
+            np.matmul(a, np.multiply(r, h, out=tmp), out=conv[..., cx:])
             np.matmul(conv, w_c, out=tmp)
             tmp += b_c
             np.tanh(tmp, out=c)
@@ -568,7 +572,8 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
         learned = adjacency.requires_grad
         g = g.reshape(batch, n, d)
         # one step: the pre-activation gradients [update | reset | candidate],
-        # dL/d[A (r h), A h, A l] and, for a learned A, [r h, h, l]
+        # dL/d[A (r h), A h, A l], whose outer two only a learned A reads,
+        # and for a learned A [r h, h, l]
         dpre = np.empty((batch, n, 3 * d))
         dz = np.empty((batch, n, 2 * d + k))
         zv = np.empty((batch, n, 2 * d + k)) if learned else None
@@ -589,7 +594,8 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
             dh = g[lo:hi]
             for i, t in enumerate(reversed(range(hist))):
                 h_prev, u, r, c = hs[t, lo:hi], us[t, lo:hi], rs[t, lo:hi], cs[t, lo:hi]
-                dh_prev = np.multiply(dh, u, out=spare[i % 2])
+                dh_prev, rh = spare[i % 2], spare[1 - i % 2]
+                np.multiply(dh, u, out=dh_prev)
                 np.multiply(c, c, out=s1)
                 np.subtract(1.0, s1, out=s1)
                 np.subtract(dh, dh_prev, out=s2)
@@ -599,26 +605,30 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
                 s1 *= u
                 np.subtract(1.0, u, out=s2)
                 np.multiply(s1, s2, out=dp[..., :d])
-                darh = np.matmul(dpre_c, wc_h, out=z[..., :d])
-                drh_r = np.matmul(a_t, darh, out=s1)
-                drh_r *= r
-                dh_prev += drh_r
-                drh_r *= h_prev
-                np.multiply(drh_r, np.subtract(1.0, r, out=s2), out=dp[..., d:2 * d])
+                # Q = A^T dpre_c gives the candidate's h-rows (r h)^T Q and
+                # dL/d(r h) = Q Wc_h^T, so A (r h) is never cached
+                qc = np.matmul(a_t, dpre_c, out=s1)
+                drh = np.matmul(qc, wc_h, out=s2)
+                np.matmul(np.multiply(r, h_prev, out=rh).swapaxes(1, 2), qc,
+                          out=w_step[:, :d, 2 * d:])
+                drh *= r
+                dh_prev += drh
+                drh *= h_prev
+                np.multiply(drh, np.subtract(1.0, r, out=s1), out=dp[..., d:2 * d])
                 dah = np.matmul(dp[..., :2 * d], w_ur_h, out=z[..., d:2 * d])
                 dh_prev += np.matmul(a_t, dah, out=s1)
                 dh = dh_prev
-                # step t's terms of every sum over steps, one product per item
+                # step t's other terms of every sum over steps, one product per item
                 np.matmul(ahs[t, lo:hi].swapaxes(1, 2), dp[..., :2 * d], out=w_step[:, :d, :2 * d])
-                np.matmul(arhs[t, lo:hi].swapaxes(1, 2), dpre_c, out=w_step[:, :d, 2 * d:])
                 np.matmul(al[t, lo:hi].swapaxes(1, 2), dp, out=w_step[:, d:d + k])
                 np.matmul(ones, dp, out=w_step[:, d + k])
                 w_sum += w_step
                 if learned:
                     # dA sums (dL/d(A v)) v^T over the channels of every A product
                     v = zv[lo:hi]
+                    np.matmul(dpre_c, wc_h, out=z[..., :d])
                     np.matmul(dp, mw_x, out=z[..., 2 * d:])
-                    np.multiply(r, h_prev, out=v[..., :d])
+                    v[..., :d] = rh
                     v[..., d:2 * d] = h_prev
                     v[..., 2 * d:] = lift[t, lo:hi]
                     for j in range(hi - lo):

@@ -251,7 +251,8 @@ class TestFiniteDiffCheck:
         def f():
             return ad.tlog(x)
 
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.warns(RuntimeWarning, match="divide by zero"), \
+                pytest.raises(ValueError, match="non-finite"):
             finite_diff_check(f, params)
 
 

@@ -193,11 +193,13 @@ class TestCsvIO:
         ds = synthesize(3, 250, seed=0)
         paths = dataset_paths(tmp_path)
         save_csv(ds, *paths)
-        lines = open(paths[0]).read().splitlines()
+        with open(paths[0]) as fh:
+            lines = fh.read().splitlines()
         cells = lines[2].split(",")
         cells[1] = "oops"
         lines[2] = ",".join(cells)
-        open(paths[0], "w").write("\n".join(lines) + "\n")
+        with open(paths[0], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="row 2, column 1"):
             load_csv(*paths)
 

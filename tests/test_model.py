@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -180,22 +181,23 @@ class TestGraphGRUKernel:
                                        atol=1e-12 * np.abs(g).max(), err_msg=name)
         return got_grads, adjacency
 
-    def compare(self, lead, adjacency_of, patch_mask, graph_mode="predefined"):
-        n, d, hist = 5, 3, 4
+    def compare(self, lead, adjacency_of, patch_mask, graph_mode="predefined", n=5, d=3):
+        hist = 4
         state = make_state(n_nodes=n, hidden_dim=d, history=hist, seed=11,
                            graph_mode=graph_mode, node_embed_dim=2)
         rng = np.random.default_rng(12)
         x = rng.normal(size=lead + (hist, n, 1))
         weight = rng.uniform(0.5, 1.5, size=lead + (n, d))
-        return self.check(state.params, x, adjacency_of, weight, np.array(patch_mask))
+        return self.check(state.params, x, partial(adjacency_of, n=n), weight,
+                          np.array(patch_mask))
 
     @staticmethod
-    def constant(params):
-        return Tensor(normalize_adjacency(random_graph(5, 6, seed=3)))
+    def constant(params, n=5):
+        return Tensor(normalize_adjacency(random_graph(n, 6 * n // 5, seed=3)))
 
     @staticmethod
-    def learned(params):
-        mask = Tensor(np.ones((5, 5)) - np.eye(5)[::-1])
+    def learned(params, n=5):
+        mask = Tensor(np.ones((n, n)) - np.eye(n)[::-1])
         return ad.mul(adaptive_adjacency(params["node_embeddings"]), mask)
 
     @pytest.mark.parametrize("patch_mask", [[False, False], [True, False]])
@@ -218,6 +220,16 @@ class TestGraphGRUKernel:
     def test_unbatched_learned_adjacency(self, patch_mask):
         grads, _ = self.compare((), self.learned, patch_mask, graph_mode="adaptive")
         assert np.abs(grads["node_embeddings"]).max() > 0
+
+    @pytest.mark.parametrize("adjacency_of, graph_mode",
+                             [("constant", "predefined"), ("learned", "adaptive")])
+    def test_blocked_gemm_sizes(self, adjacency_of, graph_mode):
+        # at N = 48 and D = 16 the reverse loop's A^T products run as
+        # blocked GEMMs, which the other cases' N = 5 and D = 3 do not reach
+        grads, adjacency = self.compare((5,), getattr(self, adjacency_of), [False, True],
+                                        graph_mode, n=48, d=16)
+        assert np.abs(grads["mask_token"]).max() > 0
+        assert adjacency.requires_grad == (adjacency_of == "learned")
 
     @pytest.mark.parametrize("adjacency_of", ["constant", "learned"])
     @pytest.mark.parametrize("c, e", [(2, 4), (5, 4)])
@@ -493,7 +505,7 @@ class TestGraphGRURanges:
         finally:
             tracemalloc.stop()
         unit = hist * batch * n * 8  # bytes per channel of a [H, B, N, .] array
-        caches = unit * (6 * d + 2 * (c + 2))  # h, A h, A (r h), u, r, c; l and A l
+        caches = unit * (5 * d + 2 * (c + 2))  # h, A h, u, r, c; l and A l
         assert (adjacency.grad is not None) == learned and token.grad is not None
         assert caches <= peak < caches + unit * d
 
