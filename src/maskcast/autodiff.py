@@ -412,17 +412,15 @@ def _run_ranges(jobs):
         f.result()
 
 
-def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), token=None):
-    """Input embedding, patch mask and graph-convolutional GRU over the
-    history axis, as one kernel.
+def graph_gru(lift, m, adjacency, wu, bu, wr, br, wc, bc):
+    """Graph-convolutional GRU over the history axis of an embedded window,
+    as one kernel.
 
-    The DCRNN recurrence (Li et al., ICLR 2018) with one propagation hop,
-    on an embedded window. The raw window ``x`` [..., H, N, C] is data, an
-    array like ``steps``, and gets no gradient. ``embed_w`` is [C, E],
-    ``embed_b`` [E], ``adjacency`` [N, N], the gate weights [E + D, D] and
-    biases [D]. Step t's embedding is e_t = x_t W_e + 1 b_e^T, except on
-    the masked history steps listed in ``steps``, where it is 1 token^T for
-    ``token`` [E]. From h = 0, each step computes
+    The DCRNN recurrence (Li et al., ICLR 2018) with one propagation hop.
+    The window comes lifted: ``lift`` [..., H, N, K] is data, an array that
+    gets no gradient, and ``m`` [K, E] embeds step t as e_t = l_t M.
+    ``adjacency`` is [N, N], the gate weights [E + D, D] and biases [D].
+    From h = 0, each step computes
 
         u, r = sigmoid([A e_t, A h] [Wu|Wr] + [bu|br])
         c = tanh([A e_t, A (r h)] Wc + bc)
@@ -430,20 +428,16 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
 
     and the final h [..., N, D] is returned.
 
-    The embedding is affine, so A e_t = (A x_t) W_e + (A 1) b_e^T, and on a
-    masked step A e_t = (A 1) token^T: A need never multiply an E-channel
-    array. The window is lifted to K = C + 1 channels, C + 2 with masked
-    steps: a kept step holds [x_t, 1, 0], a masked one [0, 0, 1]. With
-    M = [W_e; b_e^T; token^T] [K, E], e_t = l_t M, and A l is taken for all
-    H steps in one product before the loop, at K columns. Each step writes
-    its x-half (A l_t) M with one GEMM into the buffer whose h-half holds
-    A h, then A (r h), so a step multiplies A only by h and by r h, 2D
-    columns. Each gate GEMM contracts over all E + D rows at once, which
-    keeps the output on an embedded window (W_e = I, b_e = 0, no masked
-    step) bitwise equal to multiplying A by the concatenated [e_t, h]; a
-    split into two K-halves would not. The update and reset gates are one
-    GEMM on [Wu|Wr], built per call, so checkpoints keep the three separate
-    gate weights.
+    A e_t = (A l_t) M, so A need never multiply an E-channel array: A l is
+    taken for all H steps in one product before the loop, at K columns.
+    Each step writes its x-half (A l_t) M with one GEMM into the buffer
+    whose h-half holds A h, then A (r h), so a step multiplies A only by h
+    and by r h, 2D columns. Each gate GEMM contracts over all E + D rows at
+    once, which keeps the output on an embedded window (M = I) bitwise
+    equal to multiplying A by the concatenated [e_t, h]; a split into two
+    K-halves would not. The update and reset gates are one GEMM on
+    [Wu|Wr], built per call, so checkpoints keep the three separate gate
+    weights.
 
     Backward is one reverse-time loop that applies A^T only to the h-side
     gradients, D columns each. Step t's pre-activation gradients dpre_t
@@ -453,17 +447,13 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     (A h)^T dpre_ur and (r h)^T (A^T dpre_c), the bias sums 1^T dpre, and
     P = (A l)^T dpre [K, 3D]. The candidate gate applies A^T to dpre_c
     itself: Q = A^T dpre_c gives both its h-rows' term and
-    dL/d(r h) = Q Wc_h^T, so A (r h) is never kept. P stacks the x-side
-    terms at K columns: (A x)^T dpre over the kept steps, the
-    (A 1)-weighted sum of dpre over the kept steps and the same sum over
-    the masked steps. After the loop the gate weights' x-rows get
-    M^T P = W_e^T P_x + b_e P_b + token P_m, and M gets P W_x^T: the
-    gradients of W_e, b_e and the token. A learned
-    adjacency gets sum_t (dL/d(A v_t)) v_t^T over its three products,
-    v = r h, h and l, with dL/d(A l_t) = dpre_t (M W_x)^T: one [N, N] GEMM
-    per item and step, over the three stacked side by side. No pass makes
-    an [..., H, N, E] array, and backward keeps no array over all H steps
-    beyond the forward's caches.
+    dL/d(r h) = Q Wc_h^T, so A (r h) is never kept. After the loop the gate
+    weights' x-rows get M^T P and M gets P W_x^T. A learned adjacency gets
+    sum_t (dL/d(A v_t)) v_t^T over its three products, v = r h, h and l,
+    with dL/d(A l_t) = dpre_t (M W_x)^T: one [N, N] GEMM per item and step,
+    over the three stacked side by side. No pass makes an [..., H, N, E]
+    array, and backward keeps no array over all H steps beyond the
+    forward's caches.
 
     The lead axes are flattened into one batch axis, whose items never
     interact. The batch is cut into contiguous ranges, one per CPU in the
@@ -479,50 +469,31 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
     Under a multi-threaded BLAS, its own thread pool shares the same cores.
 
     The forward caches five per-step arrays [H, B, N, D]: h, A h, u, r and
-    c, besides l and A l. They span all H steps only when a tensor input
+    c, besides A l. They span all H steps only when a tensor input
     requires grad; a forward-only call writes every step into the same
     one-step buffers, which leaves its output bitwise unchanged.
     """
-    xd, a = np.asarray(x, dtype=np.float64), adjacency.data
-    steps = np.asarray(steps, dtype=np.int64)
-    masked = steps.size > 0
-    if (xd.ndim < 3 or embed_w.data.ndim != 2 or embed_w.shape[0] != xd.shape[-1]
-            or embed_b.shape != embed_w.shape[1:] or a.shape != (xd.shape[-2],) * 2
-            or steps.ndim != 1
-            or (masked and (token is None or token.shape != embed_b.shape
-                            or steps.min() < 0 or steps.max() >= xd.shape[-3]))):
-        _shape_fail("graph_gru", xd.shape, embed_w.shape, embed_b.shape, adjacency.shape,
-                    steps.shape, () if token is None else token.shape)
-    hist, n, c_in = xd.shape[-3:]
-    cx, d = embed_w.shape[1], wu.shape[-1]
+    lift, a, m_emb = np.asarray(lift, dtype=np.float64), adjacency.data, m.data
+    if (lift.ndim < 3 or m_emb.ndim != 2 or m.shape[0] != lift.shape[-1]
+            or a.shape != (lift.shape[-2],) * 2):
+        _shape_fail("graph_gru", lift.shape, m.shape, adjacency.shape)
+    hist, n, k = lift.shape[-3:]
+    cx, d = m.shape[1], wu.shape[-1]
     gates = ((wu, bu), (wr, br), (wc, bc))
     for w, b in gates:
         if w.shape != (cx + d, d) or b.shape != (d,):
-            _shape_fail("graph_gru", embed_w.shape, w.shape, b.shape)
-    lead = xd.shape[:-3]
+            _shape_fail("graph_gru", m.shape, w.shape, b.shape)
+    lead = lift.shape[:-3]
     batch = int(np.prod(lead, dtype=np.int64))
     ranges = _batch_ranges(batch, n * d)
     w_ur = np.concatenate([wu.data, wr.data], axis=1)
     b_ur = np.concatenate([bu.data, br.data])
     w_c, b_c = wc.data, bc.data
-    parents = (embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc)
-    if masked:
-        parents += (token,)
+    parents = (m, adjacency, wu, bu, wr, br, wc, bc)
     # per-step activations [steps, B, N, D], stacked over all H steps when
     # backward will read them and over one reused step otherwise
     taped = any(t.requires_grad for t in parents)
-    # the lifted window l [H, B, N, K] and M [K, E], so that e_t = l_t M
-    k = c_in + 1 + masked
-    lift = np.empty((hist, batch, n, k))
-    lift[..., :c_in] = xd.reshape((batch,) + xd.shape[-3:]).swapaxes(0, 1)
-    lift[..., c_in] = 1.0
-    rows = [embed_w.data, embed_b.data[None]]
-    if masked:
-        lift[..., c_in + 1] = 0.0
-        lift[steps] = 0.0
-        lift[steps, ..., c_in + 1] = 1.0
-        rows.append(token.data[None])
-    m_emb = np.concatenate(rows)
+    lift = lift.reshape((batch, hist, n, k)).swapaxes(0, 1)  # [H, B, N, K]
     al = np.empty(lift.shape)
     hs = np.empty((hist, batch, n, d)) if taped else None
     ahs, us, rs, cs = (np.empty((hist if taped else 1, batch, n, d)) for _ in range(4))
@@ -640,17 +611,13 @@ def graph_gru(x, embed_w, embed_b, adjacency, wu, bu, wr, br, wc, bc, steps=(), 
         total = sw[0].sum(axis=0)
         p = total[d:d + k]
         dw = np.concatenate([m_emb.T @ p, total[:d]])
-        dm = p @ w_x.T  # rows: W_e, b_e, then the token
         if learned:
             _accumulate(adjacency, sa.sum(axis=0), owned=True)
-        grads = [(embed_w, dm[:c_in]), (embed_b, dm[c_in])]
-        if masked:
-            grads.append((token, dm[c_in + 1]))
+        _accumulate(m, p @ w_x.T, owned=True)
         for i, (w, b) in enumerate(gates):
             cols = slice(i * d, (i + 1) * d)
-            grads += [(w, dw[:, cols]), (b, total[d + k, cols])]
-        for t, grad in grads:
-            _accumulate(t, grad)
+            _accumulate(w, dw[:, cols])
+            _accumulate(b, total[d + k, cols])
 
     return _record(out, parents, backward)
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, finite_diff_check
 from .graph import Graph
-from .masking import MaskPlan
+from .masking import MaskPlan, apply_temporal_mask
 from .model import ModelState, forecast
 from .training import RunConfig, loss_pred, pretrain_forward
 
@@ -65,8 +65,11 @@ def kernel_suite(seed=0):
     # input width C against hidden width D, history steps masked with a
     # token; without a fixed adjacency, a learned one
     def gru(name, c, d, steps, adjacency=None):
-        x = _rand(rng, 2, 4, 3, c)  # the window is data: no gradient is checked for it
-        shapes = {"we": (c, d), "be": (d,), "token": (d,)}
+        x = _rand(rng, 2, 4, 3, c)
+        # one step per patch; the lift is data, with no gradient checked
+        lift = apply_temporal_mask(x, np.isin(np.arange(4), steps))
+        lift = np.pad(lift, [(0, 0)] * 3 + [(0, c + 2 - lift.shape[-1])])  # a zero token column
+        shapes = {"m": (c + 2, d)}
         if adjacency is None:
             shapes["adj"] = (3, 3)
         for gate in "urc":
@@ -74,9 +77,8 @@ def kernel_suite(seed=0):
 
         def build(p):
             adj = p["adj"] if adjacency is None else adjacency
-            return ad.graph_gru(x, p["we"], p["be"], adj,
-                                *(p[f"{k}{gate}"] for gate in "urc" for k in "wb"),
-                                steps, p["token"])
+            return ad.graph_gru(lift, p["m"], adj,
+                                *(p[f"{k}{gate}"] for gate in "urc" for k in "wb"))
 
         check(name, shapes, build)
 

@@ -122,12 +122,21 @@ def step_mask(patch_mask, n_steps):
 
 
 def apply_temporal_mask(x, patch_mask):
-    """The history steps of a window ``x`` [..., H, N, C] that fall in the
-    masked patches of ``patch_mask``, ascending. The encoder
-    (``autodiff.graph_gru``) embeds those steps as the shared mask token,
-    so the token's gradient comes only from masked patches."""
-    h = x.shape[-3]
-    n_patches = len(patch_mask)
-    if h % n_patches != 0:
-        raise ad.ShapeError(f"apply_temporal_mask: history {h} not divisible into {n_patches} patches")
-    return np.flatnonzero(step_mask(patch_mask, h))
+    """The window ``x`` [..., H, N, C] lifted for the encoder's embedding
+    (``model.embed_input``): [x, 1] on every step when ``patch_mask`` is
+    None or masks no patch; otherwise [x, 1, 0] on the kept steps and
+    [0, 0, 1] on the steps of masked patches. With M = [W; b; token], l M
+    embeds a kept step as x W + b and a masked one as the shared mask
+    token, so the token's gradient comes only from masked patches."""
+    h, c = x.shape[-3], x.shape[-1]
+    masked = patch_mask is not None and patch_mask.any()
+    if patch_mask is not None and h % len(patch_mask) != 0:
+        raise ad.ShapeError(f"apply_temporal_mask: history {h} not divisible into {len(patch_mask)} patches")
+    lift = np.empty(x.shape[:-1] + (c + 1 + masked,))
+    lift[..., :c] = x
+    lift[..., c] = 1.0
+    if masked:
+        m = step_mask(patch_mask, h)  # [H, 1, 1]
+        lift.reshape((-1,) + lift.shape[-3:])[:, m[:, 0, 0] > 0] = 0.0
+        lift[..., c + 1] = m[..., 0]
+    return lift

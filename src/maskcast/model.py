@@ -98,16 +98,16 @@ class ModelState:
 
 
 def embed_input(x, params, patch_mask):
-    """The input embedding's arguments of ``autodiff.graph_gru``, which
-    embeds the window ``x`` [..., H, N, C] as x W + b inside the encoder:
-    ``embed.w``, ``embed.b``, and the masked history steps with the mask
-    token that replaces their embedding. Given no patch mask, or one with
-    no masked patch, no step is masked; otherwise ``apply_temporal_mask``
-    gives the steps."""
-    w, b = params["embed.w"], params["embed.b"]
-    if patch_mask is not None and patch_mask.any():
-        return w, b, apply_temporal_mask(x, patch_mask), params["mask_token"]
-    return w, b, (), None
+    """The lifted window l and the embedding matrix M of
+    ``autodiff.graph_gru``, which embeds step t as l_t M:
+    ``apply_temporal_mask`` lifts ``x`` [..., H, N, C], and M stacks
+    ``embed.w``, ``embed.b`` and, when the lift marks masked steps, the
+    mask token."""
+    lift = apply_temporal_mask(x, patch_mask)
+    # one row per channel the lift adds to x: the bias, then the token
+    rows = [params["embed.b"], params["mask_token"]][:lift.shape[-1] - x.shape[-1]]
+    return lift, ad.concat([params["embed.w"]] + [ad.reshape(r, (1,) + r.shape) for r in rows],
+                           axis=0)
 
 
 def encoder_forward(x, adjacency, params, patch_mask=None):
@@ -118,11 +118,11 @@ def encoder_forward(x, adjacency, params, patch_mask=None):
     ``adjacency`` is the propagation matrix ``model_adjacency`` builds.
     Returns the final hidden state [..., N, D].
     """
-    w, b, steps, token = embed_input(x, params, patch_mask)
-    return ad.graph_gru(x, w, b, adjacency,
+    lift, m = embed_input(x, params, patch_mask)
+    return ad.graph_gru(lift, m, adjacency,
                         params["encoder.update.w"], params["encoder.update.b"],
                         params["encoder.reset.w"], params["encoder.reset.b"],
-                        params["encoder.cand.w"], params["encoder.cand.b"], steps, token)
+                        params["encoder.cand.w"], params["encoder.cand.b"])
 
 
 def spatial_decoder(s, params):

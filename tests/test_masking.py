@@ -3,7 +3,6 @@ import pytest
 
 from maskcast import autodiff as ad
 from maskcast import masking
-from maskcast.autodiff import Tensor
 from maskcast.graph import Graph, WalkConfig
 from maskcast.masking import (apply_spatial_mask, apply_temporal_mask,
                               edge_mask_matrix, mask_target_size,
@@ -161,21 +160,31 @@ class TestUniformVariants:
 
 
 class TestApplyTemporalMask:
-    """The masked history steps of a window, whose embedding the encoder
-    replaces with the mask token."""
+    """The window lifted for the embedding l M, M = [W; b; token]: [x, 1]
+    without a masked patch, [x, 1, 0] on kept and [0, 0, 1] on masked
+    steps with one."""
 
     def test_no_masked_patches_no_steps(self):
-        x = Tensor(np.zeros((6, 3, 1)))
-        assert apply_temporal_mask(x, np.zeros(3, dtype=bool)).size == 0
+        x = np.random.default_rng(0).normal(size=(2, 6, 3, 2))
+        for patch_mask in (None, np.zeros(3, dtype=bool)):
+            lift = apply_temporal_mask(x, patch_mask)
+            assert lift.shape == (2, 6, 3, 3)
+            assert (lift[..., :2] == x).all() and (lift[..., 2] == 1.0).all()
 
     def test_steps_of_masked_patches(self):
-        x = Tensor(np.zeros((2, 6, 3, 1)))
-        assert apply_temporal_mask(x, np.array([True, False, True])).tolist() == [0, 1, 4, 5]
-        assert apply_temporal_mask(x, np.array([False] * 5 + [True])).tolist() == [5]
+        x = np.random.default_rng(1).normal(size=(2, 6, 3, 1))
+        lift = apply_temporal_mask(x, np.array([True, False, True]))
+        assert lift.shape == (2, 6, 3, 3)
+        kept = [2, 3]
+        assert (lift[:, kept, :, 0] == x[:, kept, :, 0]).all()
+        assert (lift[:, kept, :, 1:] == [1.0, 0.0]).all()
+        assert (lift[:, [0, 1, 4, 5]] == [0.0, 0.0, 1.0]).all()
+        single = apply_temporal_mask(x[0], np.array([False] * 5 + [True]))
+        assert (single[5] == [0.0, 0.0, 1.0]).all() and (single[:5, :, 1:] == [1.0, 0.0]).all()
 
     def test_history_not_divisible_into_patches_rejected(self):
         with pytest.raises(ad.ShapeError, match="apply_temporal_mask"):
-            apply_temporal_mask(Tensor(np.zeros((6, 3, 1))), np.zeros(4, dtype=bool))
+            apply_temporal_mask(np.zeros((6, 3, 1)), np.zeros(4, dtype=bool))
 
 
 class TestMaskPlanSerialization:

@@ -12,7 +12,7 @@ from maskcast import autodiff as ad
 from maskcast.autodiff import Tensor
 from maskcast.graph import (Graph, WalkConfig, adaptive_adjacency,
                             normalize_adjacency, normalize_dense, sparsify_topk)
-from maskcast.masking import step_mask, trace_spatial_mask
+from maskcast.masking import apply_temporal_mask, step_mask, trace_spatial_mask
 from maskcast.model import (EncoderConfig, ModelState, embed_input,
                             encoder_forward, forecast, mask_sampling_graph,
                             model_adjacency, predictor, spatial_decoder,
@@ -39,17 +39,20 @@ def zero_params(state, prefixes):
 class TestEmbedInput:
     def test_no_masked_patch_masks_no_step(self):
         state = make_state()
-        x = np.zeros((4, 4, 1))
+        x = np.random.default_rng(0).normal(size=(4, 4, 1))
+        w, b = state.params["embed.w"].data, state.params["embed.b"].data
         for patch_mask in (None, np.zeros(2, dtype=bool)):
-            w, b, steps, token = embed_input(x, state.params, patch_mask)
-            assert w is state.params["embed.w"] and b is state.params["embed.b"]
-            assert len(steps) == 0 and token is None
+            lift, m = embed_input(x, state.params, patch_mask)
+            assert lift.tobytes() == apply_temporal_mask(x, patch_mask).tobytes()
+            assert m.data.tobytes() == np.concatenate([w, b[None]]).tobytes()
 
     def test_masked_patches_give_their_steps_and_the_token(self):
         state = make_state(history=6)
-        x = np.zeros((2, 6, 4, 1))
-        _, _, steps, token = embed_input(x, state.params, np.array([True, False, True]))
-        assert steps.tolist() == [0, 1, 4, 5] and token is state.params["mask_token"]
+        x = np.random.default_rng(1).normal(size=(2, 6, 4, 1))
+        patch_mask = np.array([True, False, True])
+        lift, m = embed_input(x, state.params, patch_mask)
+        assert lift.tobytes() == apply_temporal_mask(x, patch_mask).tobytes()
+        assert (m.data[-1] == state.params["mask_token"].data).all() and m.shape == (3, 3)
 
 
 def gate_params(params):
@@ -57,11 +60,9 @@ def gate_params(params):
 
 
 def encode_embedded(x_emb, adjacency, params):
-    """graph_gru on an already embedded window array: with W_e = I and
-    b_e = 0 its x-half (A [x, 1]) [I; 0] is A x_emb exactly."""
-    e = x_emb.shape[-1]
-    return ad.graph_gru(x_emb, Tensor(np.eye(e)), Tensor(np.zeros(e)), adjacency,
-                        *gate_params(params))
+    """graph_gru on an already embedded window array: with M = I its x-half
+    (A x_emb) I is A x_emb exactly."""
+    return ad.graph_gru(x_emb, Tensor(np.eye(x_emb.shape[-1])), adjacency, *gate_params(params))
 
 
 class TestEncoderForward:
@@ -256,7 +257,7 @@ class TestGraphGRUKernel:
 
     @pytest.mark.parametrize("adjacency_of", ["constant", "learned"])
     def test_embedded_window_keeps_the_recurrence_bits(self, adjacency_of):
-        # W_e = I and b_e = 0 make the x-half A x_emb exactly, so the output
+        # M = I makes the x-half A x_emb exactly, so the output
         # is bitwise the primitive recurrence's
         state = make_state(n_nodes=5, hidden_dim=3, history=4, seed=11,
                            graph_mode="adaptive", node_embed_dim=2)
@@ -296,29 +297,28 @@ class TestGraphGRUKernel:
         with pytest.raises(ad.ShapeError, match="graph_gru"):
             encoder_forward(np.zeros((4, 4, 2)), Tensor(np.eye(4)), state.params)
 
-    def test_token_and_steps_checked(self):
+    def test_embedding_and_lift_shapes_checked(self):
         state = make_state(n_nodes=4, hidden_dim=3)
         x = np.zeros((2, 4, 4, 1))
-        w, b, token = state.params["embed.w"], state.params["embed.b"], state.params["mask_token"]
+        params = {**dict(state.params.items()), "mask_token": Tensor(np.zeros(4))}
+        with pytest.raises(ad.ShapeError, match="concat"):  # token width
+            encoder_forward(x, Tensor(np.eye(4)), params, np.array([True, False]))
+        lift, m = embed_input(x, state.params, np.array([True, False]))
         gates = gate_params(state.params)
-        for steps, tok in [([1], Tensor(np.zeros(4))),  # token width
-                           ([1], None),  # masked steps without a token
-                           ([4], token),  # step out of range
-                           ([-1], token),
-                           ([[1]], token)]:  # not a list of steps
+        for bad_lift, adjacency in [(lift[..., :2], np.eye(4)),  # M rows != lift channels
+                                    (lift, np.eye(3)),  # adjacency of another graph
+                                    (lift, np.eye(4)[None])]:  # not [N, N]
             with pytest.raises(ad.ShapeError, match="graph_gru"):
-                ad.graph_gru(x, w, b, Tensor(np.eye(4)), *gates, steps, tok)
-        with pytest.raises(ad.ShapeError, match="graph_gru"):
-            ad.graph_gru(x, w, Tensor(np.zeros(4)), Tensor(np.eye(4)), *gates)  # bias width
+                ad.graph_gru(bad_lift, m, Tensor(adjacency), *gates)
 
-    def test_token_is_a_parent_only_with_masked_steps(self):
-        state = make_state(n_nodes=4, hidden_dim=3)
+    def test_m_has_the_token_row_only_with_a_masked_patch(self):
         x = np.zeros((2, 4, 4, 1))
-        token = state.params["mask_token"]
         for masked in (False, True):
-            out = encoder_forward(x, Tensor(np.eye(4)), state.params, np.array([masked, False]))
-            assert (token in out._parents) == masked
-            assert len(out._parents) == 9 + masked
+            state = make_state(n_nodes=4, hidden_dim=3)
+            lift, m = embed_input(x, state.params, np.array([masked, False]))
+            assert lift.shape[-1] == m.shape[0] == 2 + masked
+            ad.backward(ad.tsum(m))
+            assert (state.params["mask_token"].grad is not None) == masked
 
 
 class TestGraphGRURanges:
@@ -456,20 +456,19 @@ class TestGraphGRURanges:
             assert ranges[-1][1] == batch and all(hi > lo for lo, hi in ranges)
 
     @staticmethod
-    def run_kernel(lead, n, c, d, hist=4, seed=5, steps=(1, 2)):
-        """graph_gru on leaf inputs, a learned (leaf) adjacency among them;
-        returns the output and every gradient."""
+    def run_kernel(lead, n, c, d, hist=4, seed=5):
+        """graph_gru on leaf inputs, a learned (leaf) adjacency among them,
+        with steps 1 and 2 masked; returns the output and every gradient."""
         rng = np.random.default_rng(seed)
         x = rng.normal(size=lead + (hist, n, c))
         adjacency = Tensor(rng.uniform(0.0, 2.0 / n, size=(n, n)), requires_grad=True)
-        embedding = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
-                     for shape in ((c, d), (d,), (d,))]
+        m = Tensor(rng.uniform(-0.6, 0.6, size=(c + 2, d)), requires_grad=True)
         weights = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
                    for _ in range(3) for shape in ((2 * d, d), (d,))]
-        w_e, b_e, token = embedding
-        out = ad.graph_gru(x, w_e, b_e, adjacency, *weights, steps, token)
+        lift = apply_temporal_mask(x, np.isin(np.arange(hist), [1, 2]))  # one step per patch
+        out = ad.graph_gru(lift, m, adjacency, *weights)
         ad.backward(ad.tsum(ad.mul(out, Tensor(rng.uniform(0.5, 1.5, size=out.shape)))))
-        grads = {f"w{i}": t.grad for i, t in enumerate(embedding + weights)}
+        grads = {f"w{i}": t.grad for i, t in enumerate([m] + weights)}
         return {"out": out.data, "da": adjacency.grad, **grads}
 
     # splitting an x-side reduction by rows would change bits at N=20 and at C=1
@@ -493,20 +492,19 @@ class TestGraphGRURanges:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(batch, hist, n, c))
         adjacency = Tensor(normalize_adjacency(random_graph(n, 3 * n, seed=3)), requires_grad=learned)
-        leaves = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
-                  for shape in [(c, d), (d,)] + [(2 * d, d), (d,)] * 3 + [(d,)]]
-        *weights, token = leaves
+        m, *weights = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
+                       for shape in [(c + 2, d)] + [(2 * d, d), (d,)] * 3]
         tracemalloc.start()
         try:
-            out = ad.graph_gru(x, weights[0], weights[1], adjacency, *weights[2:],
-                               np.arange(0, hist, 3), token)
+            lift = apply_temporal_mask(x, np.arange(hist) % 3 == 0)  # one step per patch
+            out = ad.graph_gru(lift, m, adjacency, *weights)
             ad.backward(ad.tsum(out))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         unit = hist * batch * n * 8  # bytes per channel of a [H, B, N, .] array
         caches = unit * (5 * d + 2 * (c + 2))  # h, A h, u, r, c; l and A l
-        assert (adjacency.grad is not None) == learned and token.grad is not None
+        assert (adjacency.grad is not None) == learned and m.grad is not None
         assert caches <= peak < caches + unit * d
 
     def test_backward_makes_no_embedding_sized_x_side_array(self, monkeypatch):
@@ -518,11 +516,10 @@ class TestGraphGRURanges:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(batch, hist, n, c))
         adjacency = Tensor(rng.uniform(0.0, 0.2, size=(n, n)), requires_grad=True)
-        leaves = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
-                  for shape in [(c, d), (d,)] + [(2 * d, d), (d,)] * 3 + [(d,)]]
-        *weights, token = leaves
-        loss = ad.tsum(ad.graph_gru(x, weights[0], weights[1], adjacency, *weights[2:],
-                                    np.arange(0, hist, 3), token))
+        m, *weights = [Tensor(rng.uniform(-0.6, 0.6, size=shape), requires_grad=True)
+                       for shape in [(c + 2, d)] + [(2 * d, d), (d,)] * 3]
+        lift = apply_temporal_mask(x, np.arange(hist) % 3 == 0)  # one step per patch
+        loss = ad.tsum(ad.graph_gru(lift, m, adjacency, *weights))
         tracemalloc.start()
         try:
             ad.backward(loss)
@@ -536,7 +533,7 @@ class TestGraphGRURanges:
         # step term per range
         held = 8 * (batch * (n * (3 * d + 2 * (2 * d + k) + 4 * d)
                              + 2 * (d + k + 1) * 3 * d + n * n) + 2 * n * n)
-        assert adjacency.grad is not None and token.grad is not None
+        assert adjacency.grad is not None and m.grad is not None
         assert held <= peak < held + unit * d
 
     def test_shape_error_before_any_work_is_sent(self, monkeypatch):

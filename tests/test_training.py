@@ -327,8 +327,9 @@ class TestPretrainForward:
         assert (state.params["temporal_decoder.w"].grad == 0).all()
 
     def test_no_embedded_array_alive_at_the_encoder(self, monkeypatch):
-        # the encoder embeds the raw window itself: when it starts, nothing
-        # of the window's [B, H, N, D] embedding exists yet
+        # the encoder embeds the lifted window itself: when it starts, the
+        # lift's C + 2 channels exist, but nothing of the window's
+        # [B, H, N, D] embedding
         g = random_graph(10, 20, seed=2)
         cfg = RunConfig(history=12, horizon=3, patch_length=3, hidden_dim=16)
         state = init_state(cfg, g)
@@ -350,7 +351,9 @@ class TestPretrainForward:
         finally:
             tracemalloc.stop()
         one_channel = x.size * 8  # the window itself, allocated before tracing
-        assert live[0] < one_channel
+        # the lift's C + 2 channels and less than one channel besides them,
+        # far below a D = 16 channel embedding
+        assert live[0] < (x.shape[-1] + 3) * one_channel
 
     def test_total_combines_terms(self):
         x, g, state, cfg, plan = self._setup("full")
