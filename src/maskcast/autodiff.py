@@ -763,8 +763,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 class Adam:
     """Adam with per-parameter moment state, keyed by parameter path.
 
-    ``step`` updates the moments and each ``tensor.data`` in place, through
-    two scratch arrays per parameter, so it allocates no arrays.
+    ``step`` updates the moments and each ``tensor.data`` in place.
     """
 
     def __init__(self, params, lr=1e-3, frozen=()):
@@ -774,7 +773,6 @@ class Adam:
         self.t = 0
         self.m = {p: np.zeros_like(t.data) for p, t in params.items()}
         self.v = {p: np.zeros_like(t.data) for p, t in params.items()}
-        self._scratch = {p: np.empty((2,) + t.data.shape) for p, t in params.items()}
 
     def step(self):
         self.t += 1
@@ -786,22 +784,11 @@ class Adam:
             if tensor.grad is None:
                 raise ValueError(f"adam_step: parameter {path!r} has no gradient")
             g, m, v = tensor.grad, self.m[path], self.v[path]
-            num, den = self._scratch[path]
-            # m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g
             m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=num)
+            m += g * (1.0 - ADAM_BETA1)
             v *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=num)
-            num *= g
-            v += num
-            # data -= (lr m_hat) / (sqrt(v_hat) + eps)
-            np.divide(m, b1t, out=num)
-            num *= self.lr
-            np.divide(v, b2t, out=den)
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            num /= den
-            tensor.data -= num
+            v += g * (1.0 - ADAM_BETA2) * g
+            tensor.data -= m / b1t * self.lr / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

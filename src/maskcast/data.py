@@ -1,14 +1,14 @@
-"""Synthetic series generation, CSV ingestion, normalization, windowing, splits."""
+"""Synthetic series generation, normalization, windowing, splits, and the dataset files."""
 
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, gaussian_threshold_graph, load_edge_list,
-                    normalize_adjacency, numeric_body, save_edge_list)
+from .graph import Graph, gaussian_threshold_graph, normalize_adjacency
 from .seeding import stream
 
 STEP_SECONDS = 300.0  # synthetic series are sampled every 5 minutes
@@ -154,6 +154,86 @@ def stack_windows(windows):
 # File formats
 # ---------------------------------------------------------------------------
 
+EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("weight", np.float64)])
+
+
+def save_edge_list(g, path):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([("u", "v", "weight"), *g.edges])
+
+
+def numeric_body(fh, dtype, ndmin):
+    r"""The rest of ``fh`` parsed by numpy's C reader, or None where the csv
+    module and ``int``/``float`` might read it differently.
+
+    ``fh`` is a text file opened with ``newline=""``. numpy converts a
+    float64 cell with the routine ``float`` uses, so an accepted table is
+    bit for bit what a csv loop over the same lines would build. The reader
+    rejects quoted cells, digit underscores and ``1.0`` as an integer, which
+    ``csv`` and ``int``/``float`` accept or reject themselves, but it skips
+    blank lines, which the loop rejects; so its table stands only when it
+    has one row per line left in the file. Iterating ``fh`` counts the
+    lines as ``readline`` splits them, at ``\n``, ``\r\n`` or ``\r``.
+    ``fh`` is left where it was, for the caller's loop.
+    """
+    start = fh.tell()
+    n_lines = sum(1 for _ in fh)
+    fh.seek(start)  # the seek also makes fh.tell() usable again after iterating
+    if n_lines == 0:
+        return None
+    try:
+        with warnings.catch_warnings():  # a body of blank lines "contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
+    except ValueError:
+        table = None
+    fh.seek(start)
+    return table if table is not None and len(table) == n_lines else None
+
+
+def _bad_edge(path, line, what, row):
+    return ValueError(f"edge list {path}: line {line}: {what}: {row}")
+
+
+def load_edge_list(path, n_nodes):
+    """Read a u,v,weight edge list; a bad edge raises ValueError naming its line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(iter(fh.readline, ""))  # readline keeps fh.tell() usable
+        header = next(reader, [])  # an empty file has no header row and fails the check below
+        if header[:3] != ["u", "v", "weight"]:
+            raise ValueError(f"edge list {path}: expected header u,v,weight, got {header}")
+        table = numeric_body(fh, EDGE_ROW, ndmin=1)
+        if table is not None:
+            lo_a, hi_a = np.minimum(table["u"], table["v"]), np.maximum(table["u"], table["v"])
+            w_a, lines = table["weight"], np.arange(len(table)) + reader.line_num + 1
+        # the loop names a node index out of range with the cells of its line
+        if table is None or ((lo_a < 0) | (hi_a >= n_nodes)).any():
+            lo, hi, weights, lines = [], [], [], []
+            for row in reader:
+                try:
+                    u, v, w = int(row[0]), int(row[1]), float(row[2])
+                except (IndexError, ValueError):
+                    raise _bad_edge(path, reader.line_num, "expected integers u, v and a numeric weight", row)
+                if u > v:
+                    u, v = v, u
+                if u < 0 or v >= n_nodes:
+                    raise _bad_edge(path, reader.line_num, f"node index outside [0, {n_nodes})", row)
+                lo.append(u)
+                hi.append(v)
+                weights.append(w)
+                lines.append(reader.line_num)
+            lo_a, hi_a, w_a = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), np.array(weights)
+    repeated = np.ones(len(lo_a), dtype=bool)
+    repeated[np.unique(lo_a * n_nodes + hi_a, return_index=True)[1]] = False
+    for bad, what in ((lo_a == hi_a, "self-loop"),
+                      (repeated, "duplicate undirected edge"),
+                      (~(np.isfinite(w_a) & (w_a > 0)), "weight must be finite and positive")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _bad_edge(path, int(lines[i]), what, (int(lo_a[i]), int(hi_a[i]), float(w_a[i])))
+    return Graph(n_nodes=n_nodes, edges=list(zip(lo_a.tolist(), hi_a.tolist(), w_a.tolist())))
+
+
 def save_csv(dataset, values_path, edges_path, meta_path):
     t_total, n, c = dataset.values.shape
     header = [f"n{i}_f{j}" for i in range(n) for j in range(c)]
@@ -192,16 +272,16 @@ def load_csv(values_path, edges_path, meta_path):
             )
         values = numeric_body(fh, np.float64, ndmin=2)
         if values is None or values.shape[1] != n * c:
-            rows = []
+            cells = []
             for r, row in enumerate(reader):
                 if len(row) != n * c:
                     raise ValueError(f"values file {values_path}: row {r + 1} has {len(row)} cells, expected {n * c}")
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError:
-                    bad = next(i for i, cell in enumerate(row) if not _is_float(cell))
-                    raise ValueError(f"values file {values_path}: non-numeric cell at row {r + 1}, column {bad}")
-            values = np.asarray(rows).reshape(len(rows), n * c)
+                for col, cell in enumerate(row):
+                    try:
+                        cells.append(float(cell))
+                    except ValueError:
+                        raise ValueError(f"values file {values_path}: non-numeric cell at row {r + 1}, column {col}")
+            values = np.asarray(cells).reshape(-1, n * c)
     finite = np.isfinite(values)
     if not finite.all():
         r, col = np.argwhere(~finite)[0]
@@ -210,14 +290,6 @@ def load_csv(values_path, edges_path, meta_path):
     values = values.reshape(len(values), n, c)
     g = load_edge_list(edges_path, n_nodes=n)
     return Dataset(values=values, period=period, graph=g)
-
-
-def _is_float(cell):
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 DATASET_FILES = ("dataset_values.csv", "dataset_edges.csv", "dataset_meta.json")

@@ -5,10 +5,10 @@ import pytest
 
 from maskcast import autodiff as ad
 from maskcast.autodiff import ParameterTree, Tensor, finite_diff_check
+from maskcast.data import load_edge_list, numeric_body, save_edge_list
 from maskcast.graph import (Graph, WalkConfig, adaptive_adjacency,
                             biased_random_walk, gaussian_threshold_graph,
-                            graph_from_adjacency, load_edge_list, normalize_adjacency, numeric_body,
-                            save_edge_list, sparsify_topk)
+                            graph_from_adjacency, normalize_adjacency, sparsify_topk)
 
 from conftest import random_graph
 
@@ -280,8 +280,10 @@ class TestEdgeListIO:
         ("1_5,2\n", None),
         ("\r\n\r\n", None),
         ("", None),
+        ("1,2\r3,4\n5,6\r\n", 3),
+        ("1,2\n\r3,4\n", None),  # a lone \r after a \n is a blank line of its own
     ], ids=["crlf", "lf-no-last-newline", "cr", "ragged", "crlf-across-chunks", "blank", "spaces",
-            "quoted", "underscore", "only-blank", "empty"])
+            "quoted", "underscore", "only-blank", "empty", "mixed-line-ends", "cr-blank-after-lf"])
     def test_numeric_body_stands_only_with_one_row_per_line(self, tmp_path, body, rows):
         path = tmp_path / "body.csv"
         path.write_bytes(body.encode())
