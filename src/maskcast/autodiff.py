@@ -283,8 +283,7 @@ def gather_flat(a, indices):
     out = Tensor(flat[indices])
 
     def backward(g):
-        full = np.zeros(a.size)
-        np.add.at(full, indices, g)
+        full = np.bincount(indices, weights=g, minlength=a.size)
         _accumulate(a, full.reshape(a.shape), owned=True)
 
     return _record(out, (a,), backward)

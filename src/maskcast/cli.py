@@ -23,7 +23,6 @@ from . import autodiff as ad
 from . import data as data_mod
 from .evaluation import run_ablation, sensitivity_sweep
 from .model import ModelState
-from .seeding import stream
 from .training import (VARIANTS, ConfigError, RunConfig, finetune, init_state, pretrain,
                        run_two_stage, test_report)
 
@@ -183,8 +182,7 @@ def cmd_finetune(args, cfg):
     dataset, splits = _load_dataset(args.data, cfg)
     state = init_state(cfg, dataset.graph)
     ad.load_checkpoint(args.checkpoint, state.params)
-    curve, _ = finetune(cfg, splits, dataset.graph, state, stream(cfg.seed, "batch-order"),
-                        log=print if args.verbose else None)
+    curve, _ = finetune(cfg, splits, dataset.graph, state, log=print if args.verbose else None)
     report = test_report(cfg, splits, dataset.graph, state)
     _write_run(args.out, cfg, *_model_and_curve(state, curve), *_report(report))
     print(f"test MAE {report['overall']['mae']:.6f}")

@@ -349,19 +349,17 @@ class Pretraining:
     sampler_calls: dict
     final_temporal_mae: float
     loss_totals: dict  # accumulated spatial/temporal
-    batch_order: np.random.Generator  # the stream fine-tuning continues
 
 
 def pretrain(cfg, splits, g, state, log=None):
     """Stage 1: masked-reconstruction pretraining of ``state``, in place.
 
-    The baseline variant pretrains nothing. Every epoch replays the same
-    batch order and mask sequence, so the epoch loss is measured on a fixed
-    objective and successive epochs are directly comparable.
+    The baseline variant pretrains nothing. Every epoch restarts the named
+    streams, so it replays the same batch order and mask sequence: the epoch
+    loss is measured on a fixed objective and epochs are directly comparable.
     """
     out = Pretraining(curve=[], sampler_calls={}, final_temporal_mae=None,
-                      loss_totals={"spatial": 0.0, "temporal": 0.0},
-                      batch_order=stream(cfg.seed, "batch-order"))
+                      loss_totals={"spatial": 0.0, "temporal": 0.0})
     if cfg.variant == "baseline" or cfg.pretrain_epochs == 0:
         return out
     xs_train, _ = stack_windows(splits.train)
@@ -370,7 +368,6 @@ def pretrain(cfg, splits, g, state, log=None):
         optimizer.lr = _stage_lr(cfg, epoch, cfg.pretrain_epochs)
         rngs = {name: stream(cfg.seed, name)
                 for name in ("spatial-mask", "temporal-mask", "negative", "batch-order")}
-        out.batch_order = rngs["batch-order"]
         mask_graph = mask_sampling_graph(g, state)
         losses, temporal_losses = [], []
         for step, idx in enumerate(_batches(len(xs_train), cfg.batch_size, rngs["batch-order"])):
@@ -392,14 +389,18 @@ def pretrain(cfg, splits, g, state, log=None):
     return out
 
 
-def finetune(cfg, splits, g, state, batch_order, log=None):
-    """Stage 2: forecasting fine-tuning of ``state``, batches drawn from ``batch_order``.
+def finetune(cfg, splits, g, state, log=None):
+    """Stage 2: forecasting fine-tuning of ``state``, pretraining-only parameters frozen.
 
-    The pretraining-only parameters stay frozen. ``state`` ends at its
-    best-validation values; returns the curve points and that validation
-    MAE, which with zero epochs is the MAE of ``state`` as given.
+    ``state`` ends at its best-validation values; returns the curve points
+    and that validation MAE, which with zero epochs is the MAE of ``state``
+    as given. Batches continue the "batch-order" stream where ``pretrain``
+    left it, so fine-tuning its checkpoint ends where ``run_two_stage`` does.
     """
     xs_train, ys_train = stack_windows(splits.train)
+    batch_order = stream(cfg.seed, "batch-order")
+    if cfg.variant != "baseline" and cfg.pretrain_epochs > 0:  # pretrain did not return early
+        batch_order.permutation(len(xs_train))  # the one permutation pretrain drew
     optimizer = ad.Adam(state.params, lr=cfg.lr, frozen=ModelState.PRETRAIN_ONLY)
     curve = []
     best_val = np.inf
@@ -444,8 +445,7 @@ def run_two_stage(cfg, splits, g, log=None):
     cfg.validate()
     state = init_state(cfg, g)
     pre = pretrain(cfg, splits, g, state, log)
-    # fine-tuning continues the batch-order stream where pretraining left it
-    curve, best_val = finetune(cfg, splits, g, state, pre.batch_order, log)
+    curve, best_val = finetune(cfg, splits, g, state, log)
     return RunResult(state=state, report=test_report(cfg, splits, g, state),
                      curve=pre.curve + curve, best_val_mae=best_val,
                      sampler_calls=pre.sampler_calls,

@@ -77,6 +77,12 @@ class TestBackward:
         backward(ad.tsum(ad.add(x, x)))
         assert x.grad.tolist() == [2.0]
 
+    def test_gather_flat_repeated_index_sums_its_gradients(self):
+        a = Tensor(np.zeros((2, 3)), requires_grad=True)
+        picked = ad.gather_flat(a, [4, 0, 4, 4])
+        backward(ad.tsum(ad.mul(picked, Tensor([1.0, 2.0, 4.0, 8.0]))))
+        assert a.grad.tolist() == [[2.0, 0.0, 0.0], [0.0, 13.0, 0.0]]
+
     def test_constant_operand_gets_no_gradient(self):
         eye = Tensor(np.eye(3))
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)

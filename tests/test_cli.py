@@ -207,16 +207,28 @@ class TestTrainPipeline:
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
         assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
 
-    def test_pretrain_finetune_evaluate_chain(self, data_dir, tmp_path):
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--set", "graph_mode=adaptive", "--set", "negative_sampling=true"],
+        ["--set", "variant=baseline"],
+    ], ids=["predefined", "adaptive-negatives", "baseline"])
+    def test_pretrain_finetune_evaluate_chain(self, data_dir, tmp_path, extra):
         pre = tmp_path / "pre"
         fin = tmp_path / "fin"
         ev = tmp_path / "eval"
-        assert main(["pretrain", "--data", data_dir, "--out", str(pre)] + FAST) == 0
+        run = tmp_path / "train"
+        flags = FAST + extra
+        assert main(["pretrain", "--data", data_dir, "--out", str(pre)] + flags) == 0
         assert main(["finetune", "--data", data_dir, "--out", str(fin),
-                     "--checkpoint", str(pre / "checkpoint.json")] + FAST) == 0
+                     "--checkpoint", str(pre / "checkpoint.json")] + flags) == 0
         assert main(["evaluate", "--data", data_dir, "--out", str(ev),
                      "--checkpoint", str(fin / "checkpoint.json"),
-                     "--model-manifest", str(fin / "model.json")] + FAST) == 0
+                     "--model-manifest", str(fin / "model.json")] + flags) == 0
+        assert main(["train", "--data", data_dir, "--out", str(run)] + flags) == 0
+        # the staged chain ends where one-shot training does; curves.csv and the
+        # manifest differ only because train's curve also holds the pretraining epochs
+        for name in ("metrics.json", "checkpoint.json", "per_step.csv"):
+            assert (fin / name).read_bytes() == (run / name).read_bytes(), name
         report = json.loads((ev / "metrics.json").read_text())
         fin_report = json.loads((fin / "metrics.json").read_text())
         assert report["overall"] == fin_report["overall"]
