@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -21,10 +20,10 @@ from functools import partial
 
 from . import autodiff as ad
 from . import data as data_mod
-from .evaluation import run_ablation, sensitivity_sweep
+from .gradcheck import reference_gradcheck
 from .model import ModelState
-from .training import (VARIANTS, ConfigError, RunConfig, finetune, init_state, pretrain,
-                       run_two_stage, test_report)
+from .training import (VARIANTS, ConfigError, RunConfig, finetune, grid_configs, init_state,
+                       pretrain, run_ablation, run_two_stage, sensitivity_sweep, test_report)
 
 
 _CONFIG_ALIASES = {"lambda": "lam", "L": "patch_length", "p": "walk_p", "q": "walk_q"}
@@ -202,8 +201,7 @@ def cmd_evaluate(args, cfg):
 
 def cmd_ablate(args, cfg):
     seeds = _parse_list(args.seeds, int, "--seeds")
-    for variant, seed in itertools.product(VARIANTS, seeds):
-        dataclasses.replace(cfg, variant=variant, seed=seed).validate()  # before the first run
+    grid_configs(cfg, seeds, variant=VARIANTS)  # a bad cell fails before --out is made
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
     ablation = run_ablation(splits, dataset.graph, cfg, seeds,
@@ -220,8 +218,7 @@ def cmd_sweep(args, cfg):
     seeds = _parse_list(args.seeds, int, "--seeds")
     ps_grid = _parse_list(args.ps_grid, float, "--ps-grid")
     pt_grid = _parse_list(args.pt_grid, float, "--pt-grid")
-    for p_s, p_t, seed in itertools.product(ps_grid, pt_grid, seeds):
-        dataclasses.replace(cfg, p_s=p_s, p_t=p_t, seed=seed).validate()  # before the first run
+    grid_configs(cfg, seeds, p_s=ps_grid, p_t=pt_grid)  # a bad cell fails before --out is made
     os.makedirs(args.out, exist_ok=True)
     dataset, splits = _load_dataset(args.data, cfg)
     sweep = sensitivity_sweep(splits, dataset.graph, cfg, ps_grid, pt_grid, seeds,
@@ -237,7 +234,6 @@ def cmd_sweep(args, cfg):
 
 
 def cmd_gradcheck(args, cfg):
-    from .gradcheck import reference_gradcheck
     errors = reference_gradcheck(seed=cfg.seed)
     worst = max(errors.values())
     for name, err in errors.items():

@@ -179,8 +179,9 @@ def model_adjacency(g, state, masked_edges=()):
 
 def mask_sampling_graph(g, state):
     """Graph the edge masks are drawn from: ``g``, or in adaptive mode the
-    top-k sparsified snapshot of the current learned adjacency."""
-    if state.config.graph_mode == "adaptive":
+    top-k sparsified snapshot of the current learned adjacency. A 1-node
+    graph has no pair to link, so its masks come from ``g``."""
+    if state.config.graph_mode == "adaptive" and g.n_nodes > 1:
         snapshot = adaptive_adjacency(state.params["node_embeddings"]).data
         return sparsify_topk(snapshot, min(state.config.topk, g.n_nodes - 1))
     return g

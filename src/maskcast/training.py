@@ -1,10 +1,12 @@
 """Two-stage learning: masked-reconstruction pretraining, then forecasting
-fine-tuning, then the test report. Also hosts the loss functions.
+fine-tuning, then the test report, alone or over a grid of configs (the
+variant ablation, the (p_s, p_t) sweep). Also hosts the loss functions.
 """
 
+import itertools
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -281,17 +283,6 @@ class CurvePoint:
     val_mae: float = None  # pretraining epochs have no forecasting metric
 
 
-@dataclass
-class RunResult:
-    state: ModelState
-    report: dict
-    curve: list
-    best_val_mae: float
-    sampler_calls: dict
-    final_pretrain_temporal_mae: float
-    pretrain_loss_totals: dict  # accumulated spatial/temporal
-
-
 PREDICT_BATCH = 64  # windows per forecast call at inference
 
 
@@ -349,6 +340,15 @@ class Pretraining:
     sampler_calls: dict
     final_temporal_mae: float
     loss_totals: dict  # accumulated spatial/temporal
+
+
+@dataclass
+class RunResult:
+    state: ModelState
+    report: dict
+    curve: list
+    best_val_mae: float
+    pretraining: Pretraining
 
 
 def pretrain(cfg, splits, g, state, log=None):
@@ -440,14 +440,73 @@ def test_report(cfg, splits, g, state):
 def run_two_stage(cfg, splits, g, log=None):
     """Pretrain (unless variant is baseline), fine-tune, evaluate on test.
 
-    Returns the best-validation-MAE checkpoint and the per-epoch curve log.
+    Returns the model at its best validation MAE, its test report, the
+    curve of both stages, that MAE and the pretraining record.
     """
     cfg.validate()
     state = init_state(cfg, g)
     pre = pretrain(cfg, splits, g, state, log)
     curve, best_val = finetune(cfg, splits, g, state, log)
     return RunResult(state=state, report=test_report(cfg, splits, g, state),
-                     curve=pre.curve + curve, best_val_mae=best_val,
-                     sampler_calls=pre.sampler_calls,
-                     final_pretrain_temporal_mae=pre.final_temporal_mae,
-                     pretrain_loss_totals=pre.loss_totals)
+                     curve=pre.curve + curve, best_val_mae=best_val, pretraining=pre)
+
+
+def grid_configs(base_cfg, seeds, **axes):
+    """``base_cfg`` at every combination of the axes' values and the seeds, in
+    product order (the axes as given, then the seed), each one validated."""
+    return [replace(base_cfg, **dict(zip(axes, values)), seed=seed).validate()
+            for *values, seed in itertools.product(*axes.values(), seeds)]
+
+
+def run_ablation(splits, g, base_cfg, seeds, log=None):
+    """Train every masking variant per seed with identical budgets.
+
+    Returns {"rows": per-run records, "summary": per-variant mean/std of the
+    overall metrics}. All variants share splits and evaluation targets.
+    """
+    rows = []
+    for cfg in grid_configs(base_cfg, seeds, variant=VARIANTS):
+        result = run_two_stage(cfg, splits, g)
+        if log:
+            log(f"ablation {cfg.variant} seed {cfg.seed}: "
+                f"test MAE {result.report['overall']['mae']:.6f}")
+        rows.append({
+            "variant": cfg.variant,
+            "seed": cfg.seed,
+            "mae": result.report["overall"]["mae"],
+            "rmse": result.report["overall"]["rmse"],
+            "mape": result.report["overall"]["mape"],
+            "sampler_calls": result.pretraining.sampler_calls,
+            "pretrain_loss_totals": result.pretraining.loss_totals,
+        })
+
+    summary = {}
+    for variant in VARIANTS:
+        runs = [r for r in rows if r["variant"] == variant]
+        summary[variant] = {}
+        for key in ("mae", "rmse", "mape"):
+            vals = [r[key] for r in runs if r[key] is not None]
+            summary[variant][key] = float(np.mean(vals)) if vals else None
+            summary[variant][key + "_std"] = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+    return {"rows": rows, "summary": summary}
+
+
+def sensitivity_sweep(splits, g, base_cfg, ps_grid, pt_grid, seeds, log=None):
+    """Seed-mean validation MAE over a (p_s, p_t) grid, plus the argmin cell."""
+    configs = iter(grid_configs(base_cfg, seeds, p_s=ps_grid, p_t=pt_grid))
+    heat = np.zeros((len(ps_grid), len(pt_grid)))
+    for i, p_s in enumerate(ps_grid):
+        for j, p_t in enumerate(pt_grid):
+            maes = []
+            for _ in seeds:
+                result = run_two_stage(next(configs), splits, g)
+                maes.append(result.best_val_mae)
+            heat[i, j] = np.mean(maes)
+            if log:
+                log(f"sweep p_s={p_s} p_t={p_t}: val MAE {heat[i, j]:.6f}")
+    argmin = np.unravel_index(np.argmin(heat), heat.shape)
+    return {
+        "val_mae": heat,
+        "argmin": {"p_s": ps_grid[argmin[0]], "p_t": pt_grid[argmin[1]],
+                   "val_mae": float(heat[argmin])},
+    }

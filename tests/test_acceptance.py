@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from maskcast.data import prepare_splits, stack_windows, synthesize
-from maskcast.evaluation import metrics, run_ablation, sensitivity_sweep
+from maskcast.evaluation import metrics
 from maskcast.gradcheck import reference_gradcheck
 from maskcast.graph import WalkConfig
 from maskcast.masking import (apply_spatial_mask, mask_target_size,
                               trace_spatial_mask)
-from maskcast.training import RunConfig, run_two_stage
+from maskcast.training import RunConfig, run_ablation, run_two_stage, sensitivity_sweep
 from maskcast.autodiff import Tensor
 from maskcast.cli import main
 
@@ -134,7 +134,7 @@ class TestCriterion4PretrainingStability:
 
         xs, _ = stack_windows(splits.train)
         baseline_mae = float(np.abs(xs - xs.mean()).mean())
-        final_mae = result.final_pretrain_temporal_mae
+        final_mae = result.pretraining.final_temporal_mae
         margin = 1.0 - final_mae / baseline_mae
         verdict(4, worst_rise <= 0.0 and margin >= 0.20,
                 f"5-epoch moving average worst rise {worst_rise:.2e} "

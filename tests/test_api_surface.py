@@ -197,3 +197,10 @@ def test_default_scan_sees_every_way_to_pass():
     assert passes(ast.parse("f(*xs)").body[0].value, "b", 1)
     assert passes(ast.parse("f(1, **kw)").body[0].value, "c", None)
     assert not passes(ast.parse("K()").body[0].value, "x", 0)
+
+
+def test_no_function_level_imports_in_the_package():
+    nested = [f"{path.name}:{node.lineno}" for path, tree in parse(PACKAGE).items()
+              for top in tree.body for node in ast.walk(top)
+              if node is not top and isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []

@@ -456,6 +456,22 @@ def test_unwalkable_edge_stops_with_exit_two(data_dir, tmp_path, capsys):
     assert "p_s=1.0: 600 walks left 1 of 6 target edges uncovered" in capsys.readouterr().err
 
 
+def test_one_node_dataset_trains_in_adaptive_mode(tmp_path):
+    # one node has no pair for the learned graph to link
+    data = tmp_path / "one"
+    data.mkdir()
+    values = 10.0 + np.sin(np.arange(60) / 3.0)
+    (data / "dataset_values.csv").write_text("n0_f0\n" + "".join(f"{v}\n" for v in values))
+    (data / "dataset_edges.csv").write_text("u,v,weight\n")
+    (data / "dataset_meta.json").write_text(
+        json.dumps({"n_nodes": 1, "n_features": 1, "period_seconds": 300.0}))
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "run"),
+            "--set", "graph_mode=adaptive"]
+    assert main(argv + FAST) == 0
+    report = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert np.isfinite(report["overall"]["mae"])
+
+
 class TestCheckpointChecks:
     """A malformed model manifest or checkpoint, or one that names what the model
     lacks, fails with exit 2."""

@@ -12,7 +12,7 @@ from maskcast.model import (ModelState, encoder_forward,
                             mask_sampling_graph, model_adjacency, spatial_decoder,
                             temporal_decoder)
 from maskcast.seeding import stream
-from maskcast.training import (RunConfig, finetune_step,
+from maskcast.training import (ConfigError, RunConfig, finetune_step, grid_configs,
                                loss_pred, loss_pretrain, loss_spatial,
                                loss_temporal, init_state, pretrain_forward,
                                run_two_stage, sample_mask_plan, sample_negative_edges)
@@ -502,8 +502,8 @@ class TestRunTwoStage:
         splits, g = tiny
         result = run_two_stage(small_cfg(pretrain_epochs=2), splits, g)
         n_batches = -(-len(splits.train) // 32)  # ceil division
-        assert result.sampler_calls["walk_spatial"] == 2 * n_batches
-        assert result.sampler_calls["patch_temporal"] == 2 * n_batches
+        assert result.pretraining.sampler_calls["walk_spatial"] == 2 * n_batches
+        assert result.pretraining.sampler_calls["patch_temporal"] == 2 * n_batches
 
     def test_cosine_decay_schedule_values(self):
         from maskcast.training import _stage_lr
@@ -519,6 +519,26 @@ class TestRunTwoStage:
         cfg = small_cfg(graph_mode="adaptive", topk=3)
         result = run_two_stage(cfg, splits, g)
         assert np.isfinite(result.report["overall"]["mae"])
+
+
+class TestExperimentGrid:
+    def test_configs_in_product_order_axes_then_seed(self):
+        configs = grid_configs(small_cfg(), [0, 1], p_s=[0.2, 1], p_t=[0.3])
+        assert [(c.p_s, c.p_t, c.seed) for c in configs] == [
+            (0.2, 0.3, 0), (0.2, 0.3, 1), (1.0, 0.3, 0), (1.0, 0.3, 1)]
+        assert type(configs[-1].p_s) is float  # validated
+
+    @pytest.mark.parametrize("experiment, grid", [
+        (training.run_ablation, ([0, -1],)),
+        (training.sensitivity_sweep, ([0.2, 1.5], [0.3], [0])),
+    ])
+    def test_bad_cell_rejected_before_the_first_run(self, tiny, monkeypatch, experiment, grid):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the grid was checked")
+
+        monkeypatch.setattr(training, "run_two_stage", no_run)
+        with pytest.raises(ConfigError):
+            experiment(*tiny, small_cfg(), *grid)
 
 
 class TestPredictWindows:
