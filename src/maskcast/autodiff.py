@@ -765,10 +765,9 @@ class Adam:
     ``step`` updates the moments and each ``tensor.data`` in place.
     """
 
-    def __init__(self, params, lr=1e-3, frozen=()):
+    def __init__(self, params, lr):
         self.params = params
         self.lr = lr
-        self.frozen = set(frozen)
         self.t = 0
         self.m = {p: np.zeros_like(t.data) for p, t in params.items()}
         self.v = {p: np.zeros_like(t.data) for p, t in params.items()}
@@ -778,8 +777,6 @@ class Adam:
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
         for path, tensor in self.params.items():
-            if path in self.frozen:
-                continue
             if tensor.grad is None:
                 raise ValueError(f"adam_step: parameter {path!r} has no gradient")
             g, m, v = tensor.grad, self.m[path], self.v[path]

@@ -251,17 +251,19 @@ def build_parser():
                                      description="Masked-reconstruction pretraining for graph time series forecasting")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
+    def common(p, out=True, verbose=True, data=True):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default="out", help="output directory")
+        if out:
+            p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="config override (repeatable)")
-        p.add_argument("--verbose", action="store_true")
+        if verbose:
+            p.add_argument("--verbose", action="store_true")
         if data:
             p.add_argument("--data", required=True, help="dataset directory (values/edges/meta triplet)")
 
     p = sub.add_parser("generate", help="write a synthetic dataset triplet")
-    common(p, data=False)
+    common(p, verbose=False, data=False)
     p.add_argument("--nodes", type=int, default=20)
     p.add_argument("--steps", type=int, default=3000)
     p.set_defaults(fn=cmd_generate)
@@ -280,7 +282,7 @@ def build_parser():
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on the test split")
-    common(p)
+    common(p, verbose=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--model-manifest", required=True)
     p.set_defaults(fn=cmd_evaluate)
@@ -298,7 +300,7 @@ def build_parser():
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    common(p, data=False)
+    common(p, out=False, verbose=False, data=False)
     p.set_defaults(fn=cmd_gradcheck)
 
     return parser

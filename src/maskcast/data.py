@@ -54,6 +54,8 @@ def synthesize(n_nodes, n_steps, seed, autoreg=0.85, noise_scale=0.1):
     nonnegative at the end. Fixed: the graph links points whose kernel weight
     reaches ``GRAPH_EPSILON``, season(t) has period ``DAY_STEPS`` and a
     per-node amplitude in [0.5, 1.5], and steps are ``STEP_SECONDS`` apart.
+    The points are drawn up to 10 times, until the graph has at least one
+    edge; it need not be connected.
     """
     if n_nodes < 3:  # two nodes have one distance, so the kernel width is 0
         raise ValueError(f"need at least 3 nodes, got {n_nodes}")
@@ -72,7 +74,8 @@ def synthesize(n_nodes, n_steps, seed, autoreg=0.85, noise_scale=0.1):
             g = candidate
             break
     if g is None:
-        raise ValueError("could not generate a connected geometric graph in 10 attempts")
+        raise ValueError("could not generate a geometric graph with at least one edge "
+                         "in 10 attempts")
 
     prop = normalize_adjacency(g)
 

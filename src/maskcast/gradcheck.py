@@ -114,9 +114,7 @@ def pred_loss_check(seed=0):
 def pretrain_loss_check(seed=0, graph_mode="predefined"):
     """Finite-difference error of the joint reconstruction loss (lambda = 1) on the toy model."""
     g, cfg, state, x, y = toy_setup(seed, graph_mode)
-    plan = MaskPlan(masked_edges={(0, 1), (1, 2)},
-                    patch_mask=np.array([True, False]),
-                    p_s=0.5, p_t=0.5, patch_length=2)
+    plan = MaskPlan(masked_edges={(0, 1), (1, 2)}, patch_mask=np.array([True, False]))
 
     def f():
         return pretrain_forward(x, g, state, cfg, plan)[0]

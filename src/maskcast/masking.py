@@ -18,10 +18,11 @@ class MaskPlan:
 
     masked_edges: set  # undirected (u, v) pairs, u < v
     patch_mask: np.ndarray  # bool, length P, True = masked
-    p_s: float
-    p_t: float
-    patch_length: int
     walks: list = field(default_factory=list)  # walk paths backing masked_edges
+    # never read; only perfbench/checks.py still passes them
+    p_s: float = None
+    p_t: float = None
+    patch_length: int = None
 
 
 def _canonical(u, v):

@@ -67,8 +67,6 @@ class ModelState:
             params.add("node_embeddings", u(config.n_nodes, config.node_embed_dim))
         return cls(config, params)
 
-    PRETRAIN_ONLY = ("spatial_decoder.w", "temporal_decoder.w", "temporal_decoder.b", "mask_token")
-
     def save(self, checkpoint_path, manifest_path):
         ad.save_checkpoint(self.params, checkpoint_path)
         with open(manifest_path, "w") as fh:

@@ -192,19 +192,14 @@ def sample_mask_plan(cfg, mask_graph, rng_spatial, rng_temporal, audit=None):
     if variant in ("full", "NS") and cfg.p_t > 0:
         n_patches = cfg.history // cfg.patch_length
         patch_mask = sample_temporal_mask(n_patches, cfg.p_t, rng_temporal)
-        patch_length = cfg.patch_length
         _count(audit, "patch_temporal")
     elif variant == "U" and cfg.p_t > 0:
-        patch_mask = sample_temporal_mask(cfg.history, cfg.p_t, rng_temporal)
-        patch_length = 1
+        patch_mask = sample_temporal_mask(cfg.history, cfg.p_t, rng_temporal)  # one step per patch
         _count(audit, "uniform_temporal")
     else:
         patch_mask = np.zeros(cfg.history // cfg.patch_length, dtype=bool)
-        patch_length = cfg.patch_length
 
-    return masking.MaskPlan(masked_edges=masked_edges, patch_mask=patch_mask,
-                            p_s=cfg.p_s, p_t=cfg.p_t, patch_length=patch_length,
-                            walks=walks)
+    return masking.MaskPlan(masked_edges=masked_edges, patch_mask=patch_mask, walks=walks)
 
 
 def _count(audit, key):
@@ -228,7 +223,9 @@ def sample_negative_edges(mask_graph, count, rng):
 def pretrain_forward(x_batch, g, state, cfg, plan, negative_edges=None, mask_graph=None):
     """Masked forward pass; returns (total, spatial, temporal) loss tensors."""
     params = state.params
-    # the plan's edges were drawn from mask_graph, so they are removed from it
+    # the plan's edges are removed from the model's adjacency; mask_graph changes
+    # nothing, since adaptive mode reads only its n_nodes and predefined mode's
+    # mask_graph is g itself, but perfbench/checks.py passes it by keyword
     adjacency = model_adjacency(mask_graph if mask_graph is not None else g, state,
                                 plan.masked_edges)
     s = encoder_forward(x_batch, adjacency, params, plan.patch_mask)
@@ -293,10 +290,10 @@ def predict_windows(windows, g, state):
     tape and leaves every ``.grad`` as it was.
     """
     xs, _ = stack_windows(windows)
-    frozen = ModelState(state.config, {p: Tensor(t.data) for p, t in state.params.items()})
+    constant = ModelState(state.config, {p: Tensor(t.data) for p, t in state.params.items()})
     outs = []
     for lo in range(0, len(xs), PREDICT_BATCH):
-        outs.append(forecast(xs[lo:lo + PREDICT_BATCH], g, frozen).data)
+        outs.append(forecast(xs[lo:lo + PREDICT_BATCH], g, constant).data)
     return np.concatenate(outs, axis=0)
 
 
@@ -390,7 +387,8 @@ def pretrain(cfg, splits, g, state, log=None):
 
 
 def finetune(cfg, splits, g, state, log=None):
-    """Stage 2: forecasting fine-tuning of ``state``, pretraining-only parameters frozen.
+    """Stage 2: forecasting fine-tuning of ``state``. ``forecast`` never reads
+    the pretraining decoders or the mask token, so they keep their values.
 
     ``state`` ends at its best-validation values; returns the curve points
     and that validation MAE, which with zero epochs is the MAE of ``state``
@@ -401,7 +399,7 @@ def finetune(cfg, splits, g, state, log=None):
     batch_order = stream(cfg.seed, "batch-order")
     if cfg.variant != "baseline" and cfg.pretrain_epochs > 0:  # pretrain did not return early
         batch_order.permutation(len(xs_train))  # the one permutation pretrain drew
-    optimizer = ad.Adam(state.params, lr=cfg.lr, frozen=ModelState.PRETRAIN_ONLY)
+    optimizer = ad.Adam(state.params, lr=cfg.lr)
     curve = []
     best_val = np.inf
     best_values = state.params.copy_values()

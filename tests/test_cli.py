@@ -1,7 +1,11 @@
+import argparse
+import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
+import re
 import shutil
 from types import SimpleNamespace
 
@@ -9,7 +13,7 @@ import numpy as np
 import pytest
 
 from maskcast import data as data_mod
-from maskcast.cli import ConfigError, _write_csv, _write_json, load_config, main
+from maskcast.cli import ConfigError, _write_csv, _write_json, build_parser, load_config, main
 from maskcast.evaluation import metrics
 from maskcast.model import EncoderConfig
 from maskcast.training import CurvePoint
@@ -276,6 +280,39 @@ class TestAblateAndSweep:
         assert len(rows) == 3
         argmin = json.loads((out / "argmin.json").read_text())
         assert argmin["p_s"] in (0.2, 0.5) and argmin["p_t"] == 0.3
+
+
+def test_every_flag_is_read_by_its_command():
+    # main reads --config and --set; any other flag the command never reads changes nothing
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, parser in sub.choices.items():
+        tree = ast.parse(inspect.getsource(parser.get_default("fn")))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        unread += [f"{command} {action.option_strings[0]}" for action in parser._actions
+                   if action.option_strings
+                   and action.dest not in ("help", "config", "overrides", *read)]
+    assert unread == []
+
+
+class TestVerbose:
+    def test_train_logs_one_line_per_epoch(self, data_dir, tmp_path, capsys):
+        assert main(["train", "--data", data_dir, "--out", str(tmp_path / "run"), "--verbose"]
+                    + FAST + ["--set", "pretrain_epochs=2", "--set", "finetune_epochs=3"]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"^pretrain epoch (\d+): loss \S+$", out, re.M) == ["0", "1"]
+        assert re.findall(r"^finetune epoch (\d+): loss \S+ val MAE \S+$", out, re.M) == \
+            ["0", "1", "2"]
+
+    def test_evaluate_has_no_verbose_flag(self, data_dir, outputs, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--data", data_dir, "--out", str(tmp_path / "eval"), "--verbose",
+                  "--checkpoint", str(outputs / "finetune" / "checkpoint.json"),
+                  "--model-manifest", str(outputs / "finetune" / "model.json")] + FAST)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
 
 class TestExitCodes:

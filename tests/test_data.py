@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from maskcast import data as data_mod
 from maskcast.data import (Dataset, chrono_split, dataset_paths, load_csv,
                            make_windows, prepare_splits, save_csv, stack_windows,
                            synthesize, zscore_fit_apply)
@@ -21,6 +22,13 @@ class TestSynthesize:
         a = synthesize(8, 300, seed=5)
         b = synthesize(8, 300, seed=6)
         assert not np.array_equal(a.values, b.values)
+
+    def test_edgeless_graph_rejected(self, monkeypatch):
+        monkeypatch.setattr(data_mod, "gaussian_threshold_graph",
+                            lambda dist, epsilon: Graph(n_nodes=len(dist), edges=[]))
+        with pytest.raises(ValueError, match="could not generate a geometric graph with "
+                                             "at least one edge in 10 attempts"):
+            synthesize(8, 300, seed=0)
 
     def test_long_run_stays_bounded(self):
         ds = synthesize(5, 5000, seed=0, autoreg=0.9)

@@ -251,7 +251,7 @@ class TestSampleMaskPlan:
         audit = {}
         plan = self._plan("U", audit)
         assert audit == {"uniform_spatial": 1, "uniform_temporal": 1}
-        assert plan.patch_length == 1  # per-step masking, no patch structure
+        assert len(plan.patch_mask) == RunConfig().history  # per-step masking, no patch structure
 
     def test_baseline_masks_nothing(self):
         audit = {}
@@ -428,15 +428,19 @@ class TestPretrainForwardChain:
         assert any(grad.any() for grad in new.values())
 
 
+# forecast never reads these, so fine-tuning's zero gradient leaves them as they were
+PRETRAIN_ONLY = ("spatial_decoder.w", "temporal_decoder.w", "temporal_decoder.b", "mask_token")
+
+
 class TestFinetuneFreezing:
     def test_pretrain_only_parameters_untouched(self):
         g = random_graph(5, 7, seed=0)
         cfg = RunConfig(history=4, horizon=4, patch_length=2, hidden_dim=3)
         state = ModelState.initialize(cfg.encoder_config(5), stream(0, "init"))
-        frozen_before = {p: state.params[p].data.copy() for p in ModelState.PRETRAIN_ONLY}
+        frozen_before = {p: state.params[p].data.copy() for p in PRETRAIN_ONLY}
         w1_before = state.params["predictor.w1"].data.copy()
 
-        opt = Adam(state.params, lr=1e-2, frozen=ModelState.PRETRAIN_ONLY)
+        opt = Adam(state.params, lr=1e-2)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 4, 5, 1))
         y = rng.normal(size=(4, 4, 5, 1))
@@ -446,6 +450,19 @@ class TestFinetuneFreezing:
         for path, before in frozen_before.items():
             assert (state.params[path].data == before).all()
         assert not np.array_equal(state.params["predictor.w1"].data, w1_before)
+
+    @pytest.mark.parametrize("graph_mode", ["predefined", "adaptive"])
+    def test_finetune_stage_keeps_the_pretrained_values(self, tiny, graph_mode):
+        splits, g = tiny
+        cfg = small_cfg(graph_mode=graph_mode, finetune_epochs=3)
+        state = init_state(cfg, g)
+        training.pretrain(cfg, splits, g, state)
+        pretrained = {p: state.params[p].data.copy() for p in PRETRAIN_ONLY}
+        encoder_before = state.params["encoder.update.w"].data.copy()
+        training.finetune(cfg, splits, g, state)  # ends on the best-validation values
+        for path, before in pretrained.items():
+            assert state.params[path].data.tobytes() == before.tobytes(), path
+        assert not np.array_equal(state.params["encoder.update.w"].data, encoder_before)
 
 
 class TestRunTwoStage:
