@@ -289,6 +289,59 @@ def gather_flat(a, indices):
     return _record(out, (a,), backward)
 
 
+# gram_at forms the Gram matrix about this many entries (2 MB of float64) at
+# a time: 6 items of 200 nodes, where the whole [32, N, N] product is 10 MB,
+# and still a whole batch of 16 windows of 20 nodes, whose one chunk makes no
+# numpy call beyond those of gather_flat on the full product.
+_GRAM_CHUNK_ENTRIES = 1 << 18
+
+
+def gram_at(x, indices):
+    """Entries of the batched Gram matrix x x^T [..., N, N] at flat
+    (row-major) ``indices``; returns a 1-D tensor.
+
+    The result and gradient are bitwise those of
+    ``gather_flat(matmul(x, transpose(x)), indices)``: the same per-item
+    GEMMs and adds. The Gram matrix is formed for a chunk of batch items at
+    a time, in the forward and again in the backward, so no [..., N, N]
+    array outlives its chunk. Per chunk, backward scatters the upstream
+    gradient into G with ``bincount`` and returns G x + (x^T G)^T.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    if x.data.ndim < 2:
+        _shape_fail("gram_at", x.shape)
+    n, nn = x.shape[-2], x.shape[-2] ** 2
+    xs = x.data.reshape((-1,) + x.shape[-2:])  # [B, N, D]
+    if indices.ndim != 1 or (indices.size and (indices.min() < 0 or indices.max() >= len(xs) * nn)):
+        _shape_fail("gram_at", x.shape, indices.shape)
+    per_chunk = max(1, _GRAM_CHUNK_ENTRIES // max(nn, 1))
+    if per_chunk >= len(xs):
+        chunks = [(0, len(xs), slice(None))]
+    else:
+        item = indices // nn
+        chunks = [(lo, min(lo + per_chunk, len(xs)),
+                   np.flatnonzero((item >= lo) & (item < lo + per_chunk)))
+                  for lo in range(0, len(xs), per_chunk)]
+    values = np.empty(len(indices))
+    for lo, hi, at in chunks:
+        xc = xs[lo:hi]
+        values[at] = np.matmul(xc, np.swapaxes(xc, -1, -2)).reshape(-1)[indices[at] - lo * nn]
+    out = Tensor(values)
+
+    def backward(g):
+        dx = np.empty(xs.shape)
+        for lo, hi, at in chunks:
+            xc = xs[lo:hi]
+            gram = np.bincount(indices[at] - lo * nn, weights=g[at],
+                               minlength=(hi - lo) * nn).reshape(hi - lo, n, n)
+            np.matmul(gram, xc, out=dx[lo:hi])
+            dx[lo:hi] += np.swapaxes(np.matmul(np.swapaxes(xc, -1, -2), gram), -1, -2)
+            del gram  # before the next chunk's is built
+        _accumulate(x, dx.reshape(x.shape), owned=True)
+
+    return _record(out, (x,), backward)
+
+
 def tsum(a):
     out = Tensor(a.data.sum())
 

@@ -86,6 +86,8 @@ def kernel_suite(seed=0):
     gru("graph_gru-wide", 3, 2, [2])
     gru("graph_gru-fixed", 2, 3, [1, 3], Tensor(rng.uniform(0.0, 0.6, size=(3, 3))))
     gru("graph_gru-unmasked", 1, 2, [])
+    # two items of 3 nodes: unsorted indices, one repeated, both entries of a pair
+    check("gram_at", {"x": (2, 3, 2)}, lambda p: ad.gram_at(p["x"], [7, 0, 12, 7, 17, 5, 15]))
     return results
 
 

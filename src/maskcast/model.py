@@ -124,13 +124,11 @@ def encoder_forward(x, adjacency, params, patch_mask=None):
 
 
 def spatial_decoder(s, params):
-    """Inner-product adjacency reconstruction logits (SW)(SW)^T; the edge
-    probabilities are their sigmoid, which ``loss_spatial`` takes only at
-    the pairs it scores."""
-    sw = ad.matmul(s, params["spatial_decoder.w"])
-    ndim = len(sw.shape)
-    axes = tuple(range(ndim - 2)) + (ndim - 1, ndim - 2)
-    return ad.matmul(sw, ad.transpose(sw, axes))
+    """Factor SW [..., N, D] of the inner-product adjacency reconstruction
+    logits (SW)(SW)^T. The edge probabilities are their sigmoid;
+    ``loss_spatial`` forms the logits only at the pairs it scores, through
+    ``autodiff.gram_at``."""
+    return ad.matmul(s, params["spatial_decoder.w"])
 
 
 def temporal_decoder(s, config, params):

@@ -127,24 +127,26 @@ def loss_spatial(a_hat, masked_edges, negative_edges=None, logits=False):
     non-edges contribute -log(1 - A_hat). One gather picks the masked edges,
     then the negatives, for each batch item; a sign s, +1 at an edge and -1
     at a negative, gives each pair its term, and the mean runs over
-    B * (|masked| + |negatives|) entries. With ``logits``, ``a_hat`` holds
-    logits x and A_hat is sigmoid(x), so the loss is finite at any finite x.
+    B * (|masked| + |negatives|) entries. With ``logits``, ``a_hat`` is
+    instead the decoder's factor F [..., N, D]: the logits x = F F^T are
+    formed only at the scored pairs, by ``autodiff.gram_at``, and A_hat is
+    sigmoid(x), so the loss is finite at any finite x.
     """
     if not masked_edges:
         return Tensor(0.0)
-    n = a_hat.shape[-1]
+    n = a_hat.shape[-2]
     batch = int(np.prod(a_hat.shape[:-2])) if len(a_hat.shape) > 2 else 1
     negatives = sorted(negative_edges or ())
     # sorted pairs, each as (min, max), repeated per batch item
     lo_hi = np.sort(np.asarray(sorted(masked_edges) + negatives, dtype=np.int64), axis=1)
     flat = np.ravel_multi_index((np.arange(batch)[:, None], *lo_hi.T), (batch, n, n)).reshape(-1)
     sign = np.tile(np.repeat([1.0, -1.0], [len(masked_edges), len(negatives)]), batch)
-    scored = ad.gather_flat(a_hat, flat)
     if logits:
         # -log sigmoid(x) = softplus(-x) and -log(1 - sigmoid(x)) = softplus(x)
-        nll = ad.softplus(ad.mul(scored, Tensor(-sign)))
+        nll = ad.softplus(ad.mul(ad.gram_at(a_hat, flat), Tensor(-sign)))
     else:
         # s p + (1 - s) / 2 is p at an edge and 1 - p at a negative
+        scored = ad.gather_flat(a_hat, flat)
         nll = ad.scale(ad.tlog(ad.add(ad.mul(scored, Tensor(sign)), Tensor((1.0 - sign) / 2))), -1.0)
     return ad.scale(ad.tsum(nll), 1.0 / len(flat))
 

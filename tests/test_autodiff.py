@@ -83,6 +83,37 @@ class TestBackward:
         backward(ad.tsum(ad.mul(picked, Tensor([1.0, 2.0, 4.0, 8.0]))))
         assert a.grad.tolist() == [[2.0, 0.0, 0.0], [0.0, 13.0, 0.0]]
 
+    # unbatched; batched in one chunk; batched over [2, 3] items, 2 per chunk
+    @pytest.mark.parametrize("shape,chunk_entries", [
+        ((7, 3), None), ((4, 9, 5), None), ((2, 3, 9, 5), 2 * 81),
+    ], ids=["unbatched", "one-chunk", "chunked"])
+    def test_gram_at_bits_match_gather_of_the_full_product(self, monkeypatch, shape,
+                                                           chunk_entries):
+        if chunk_entries is not None:
+            monkeypatch.setattr(ad, "_GRAM_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=shape)
+        n = shape[-2]
+        # unsorted, with repeats and both entries of some pairs
+        indices = rng.integers(0, x.size // shape[-1] * n, size=150)
+        indices = np.concatenate([indices, indices[:20], indices[5:9][::-1]])
+        w = Tensor(rng.normal(size=len(indices)))
+        axes = tuple(range(len(shape) - 2)) + (len(shape) - 1, len(shape) - 2)
+        outs, grads = [], []
+        for pick in (lambda t: ad.gram_at(t, indices),
+                     lambda t: ad.gather_flat(ad.matmul(t, ad.transpose(t, axes)), indices)):
+            t = Tensor(x, requires_grad=True)
+            out = pick(t)
+            backward(ad.tsum(ad.mul(out, w)))
+            outs.append(out.data)
+            grads.append(t.grad)
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert grads[0].shape == shape and grads[0].tobytes() == grads[1].tobytes()
+
+    def test_gram_at_index_outside_the_product_names_kernel(self):
+        with pytest.raises(ShapeError, match="gram_at"):
+            ad.gram_at(Tensor(np.zeros((2, 3, 4))), [18])
+
     def test_constant_operand_gets_no_gradient(self):
         eye = Tensor(np.eye(3))
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)

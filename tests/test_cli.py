@@ -21,7 +21,17 @@ from maskcast.training import CurvePoint
 
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
+    # 12 nodes give 6 edges to mask at seed 0, so p_s changes what is masked;
+    # 6 nodes give one edge, which p_s = 0.2 and 0.5 both round to
     out = tmp_path_factory.mktemp("data")
+    assert main(["generate", "--out", str(out), "--nodes", "12", "--steps", "240"]) == 0
+    return str(out)
+
+
+@pytest.fixture(scope="module")
+def six_node_dir(tmp_path_factory):
+    """A 6-node dataset, for tests that rewrite its graph or name its node count."""
+    out = tmp_path_factory.mktemp("six")
     assert main(["generate", "--out", str(out), "--nodes", "6", "--steps", "240"]) == 0
     return str(out)
 
@@ -280,6 +290,8 @@ class TestAblateAndSweep:
         assert len(rows) == 3
         argmin = json.loads((out / "argmin.json").read_text())
         assert argmin["p_s"] in (0.2, 0.5) and argmin["p_t"] == 0.3
+        # one row per p_s: masking more edges changes the pretraining, so the MAE
+        assert rows[1].split(",")[1:] != rows[2].split(",")[1:]
 
 
 def test_every_flag_is_read_by_its_command():
@@ -364,7 +376,12 @@ class TestBadConfig:
 
 
 class TestBadInput:
-    """Malformed dataset files fail at load time with exit 2 and a located message."""
+    """Malformed dataset files fail at load time with exit 2 and a located
+    message. Each test edits a copy of the 6-node dataset."""
+
+    @pytest.fixture
+    def data_dir(self, six_node_dir):
+        return six_node_dir
 
     def corrupt(self, data_dir, tmp_path, name, edit):
         out = tmp_path / "bad"
@@ -479,12 +496,12 @@ def test_input_wider_than_the_hidden_state(data_dir, tmp_path, graph_mode):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
-def test_unwalkable_edge_stops_with_exit_two(data_dir, tmp_path, capsys):
+def test_unwalkable_edge_stops_with_exit_two(six_node_dir, tmp_path, capsys):
     # a 6-cycle whose closing edge is far too light for any walk to take: at
     # p_s=1 the walk masker can never cover it, so the run stops at the cap on
     # walks per plan
     out = tmp_path / "light"
-    shutil.copytree(data_dir, out)
+    shutil.copytree(six_node_dir, out)
     edges = [f"{u},{u + 1},1.0" for u in range(5)] + ["0,5,1e-12"]
     (out / "dataset_edges.csv").write_text("\n".join(["u,v,weight"] + edges) + "\n")
     argv = ["train", "--data", str(out), "--out", str(tmp_path / "run"),
@@ -543,7 +560,7 @@ class TestCheckpointChecks:
         assert main(["generate", "--out", str(other), "--nodes", "5", "--steps", "240"]) == 0
         assert self.evaluate(str(other), tmp_path, trained / "checkpoint.json",
                              trained / "model.json") == 2
-        assert "n_nodes is 6, but the run's dataset has n_nodes=5" in capsys.readouterr().err
+        assert "n_nodes is 12, but the run's dataset has n_nodes=5" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "metrics.json").exists()
 
     def test_model_input_dim_differs_from_the_run(self, data_dir, trained, tmp_path, capsys):

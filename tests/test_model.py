@@ -593,21 +593,30 @@ class TestRunRanges:
 
 
 class TestSpatialDecoder:
+    """The decoder returns the factor F = SW; the logits F F^T are read
+    through ``autodiff.gram_at``, here at every pair."""
+
+    @staticmethod
+    def logits(factor):
+        n = factor.shape[-2]
+        return ad.gram_at(factor, np.arange(n * n)).data.reshape(n, n)
+
     def test_zero_state_gives_zero_logits(self):
         state = make_state()
         out = spatial_decoder(Tensor(np.zeros((4, 3))), state.params)
-        np.testing.assert_array_equal(out.data, np.zeros((4, 4)))
+        assert out.shape == (4, 3)
+        np.testing.assert_array_equal(self.logits(out), np.zeros((4, 4)))
 
     def test_hand_example(self):
         state = make_state(hidden_dim=1)
         state.params["spatial_decoder.w"].data = np.array([[1.0]])
         out = spatial_decoder(Tensor([[1.0], [2.0]]), state.params)
-        np.testing.assert_array_equal(out.data, np.array([[1.0, 2.0], [2.0, 4.0]]))
+        np.testing.assert_array_equal(self.logits(out), np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_symmetric_and_sigmoid_in_open_interval(self):
         state = make_state(n_nodes=6, hidden_dim=4)
         s = Tensor(np.random.default_rng(4).normal(size=(6, 4)))
-        out = spatial_decoder(s, state.params).data
+        out = self.logits(spatial_decoder(s, state.params))
         assert np.abs(out - out.T).max() < 1e-12
         probs = ad.sigmoid(Tensor(out)).data
         assert (probs > 0).all() and (probs < 1).all()

@@ -9,7 +9,7 @@ from maskcast import masking, training
 from maskcast.autodiff import Adam, Tensor
 from maskcast.data import prepare_splits, stack_windows, synthesize
 from maskcast.model import (ModelState, encoder_forward,
-                            mask_sampling_graph, model_adjacency, spatial_decoder,
+                            mask_sampling_graph, model_adjacency,
                             temporal_decoder)
 from maskcast.seeding import stream
 from maskcast.training import (ConfigError, RunConfig, finetune_step, grid_configs,
@@ -105,22 +105,46 @@ class TestLossSpatial:
         np.testing.assert_allclose(out.item(), np.log(2.0), rtol=1e-12)
 
     def test_saturated_logits_stay_finite(self):
+        # every row of the factor is [2, 6], so every logit is 40:
         # -log sigmoid(40) ~ 4e-18 and -log(1 - sigmoid(40)) = 40 + 4e-18
-        logits = Tensor(np.full((3, 3), 40.0), requires_grad=True)
+        factor = Tensor(np.tile([2.0, 6.0], (3, 1)), requires_grad=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = loss_spatial(logits, {(0, 1)}, [(1, 2)], logits=True)
-            logits.zero_grad()
+            out = loss_spatial(factor, {(0, 1)}, [(1, 2)], logits=True)
+            factor.zero_grad()
             ad.backward(out)
         np.testing.assert_allclose(out.item(), 20.0, rtol=1e-15)
-        assert logits.grad[1, 2] == 0.5 and 0 > logits.grad[0, 1] > -1e-17
+        # d/d logit is 0.5 at the negative (1, 2) and about -2e-18 at the
+        # edge (0, 1); row 2 reads only the negative, row 0 only the edge
+        assert factor.grad[2].tolist() == [1.0, 3.0]
+        assert (factor.grad[0] < 0).all() and (factor.grad[0] > -1e-16).all()
 
     def test_logits_agree_with_probabilities(self):
-        x = np.random.default_rng(2).normal(size=(2, 4, 4))
+        factor = np.random.default_rng(2).normal(size=(2, 4, 3))
+        x = factor @ factor.transpose(0, 2, 1)
         pairs, negatives = {(0, 1), (2, 3)}, [(0, 2), (1, 3)]
-        got = loss_spatial(Tensor(x), pairs, negatives, logits=True).item()
+        got = loss_spatial(Tensor(factor), pairs, negatives, logits=True).item()
         want = loss_spatial(Tensor(1.0 / (1.0 + np.exp(-x))), pairs, negatives).item()
         np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_logit_mode_peaks_below_one_pair_cube(self):
+        # large-graph's shape: B = 32, N = 200, D = 16, 670 edges and 670
+        # negatives; one [B, N, N] float64 array is 10.24 MB
+        rng = np.random.default_rng(6)
+        lo, hi = np.triu_indices(200, 1)
+        picks = rng.choice(len(lo), size=1340, replace=False)
+        pairs = [(int(lo[i]), int(hi[i])) for i in picks]
+        factor = Tensor(rng.normal(size=(32, 200, 16)), requires_grad=True)
+        factor.zero_grad()
+        tracemalloc.start()
+        try:
+            ad.backward(loss_spatial(factor, set(pairs[:670]), pairs[670:], logits=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4.7 MB with numpy 2.4: a chunk's G [6, N, N], the factor's
+        # gradient and the pair arrays; 22.5 MB through the full logit cube
+        assert peak < 0.6 * 32 * 200 * 200 * 8
 
     def test_gradient_only_on_masked_entries(self):
         a_hat = Tensor(np.full((3, 3), 0.5), requires_grad=True)
@@ -135,15 +159,26 @@ class TestLossSpatial:
     @pytest.mark.parametrize("logits", [True, False], ids=["logits", "probabilities"])
     @pytest.mark.parametrize("negatives", [None, NEGATIVES], ids=["edges", "negatives"])
     def test_one_gather_per_call(self, monkeypatch, logits, negatives):
-        calls = []
-        gather = ad.gather_flat
-        monkeypatch.setattr(ad, "gather_flat", lambda a, idx: calls.append(idx) or gather(a, idx))
-        loss_spatial(Tensor(np.full((2, 6, 6), 0.5)), self.MASKED, negatives, logits=logits)
-        assert len(calls) == 1
+        # logits read the factor through gram_at, probabilities the dense A_hat
+        calls = {"gram_at": 0, "gather_flat": 0}
+        for name in calls:
+            kernel = getattr(ad, name)
+
+            def counted(a, idx, name=name, kernel=kernel):
+                calls[name] += 1
+                return kernel(a, idx)
+
+            monkeypatch.setattr(ad, name, counted)
+        a_hat = np.full((2, 6, 3) if logits else (2, 6, 6), 0.5)
+        loss_spatial(Tensor(a_hat), self.MASKED, negatives, logits=logits)
+        assert calls == {"gram_at": int(logits), "gather_flat": int(not logits)}
 
     @staticmethod
     def two_gather_loss(a_hat, masked, negatives, logits):
-        """The edge loss as two pipelines, one gather and one sum per pair set."""
+        """The edge loss as two pipelines, one gather and one sum per pair
+        set; with ``logits``, of the dense logits a_hat a_hat^T."""
+        if logits:
+            a_hat = ad.matmul(a_hat, ad.transpose(a_hat, (0, 2, 1)))
         n = a_hat.shape[-1]
         batch = a_hat.size // (n * n)
 
@@ -161,7 +196,10 @@ class TestLossSpatial:
 
     @pytest.mark.parametrize("logits", [True, False], ids=["logits", "probabilities"])
     def test_one_gather_keeps_the_two_gather_gradient(self, logits):
-        x = np.random.default_rng(5).normal(size=(3, 6, 6))
+        # logits: a factor [3, 6, 4], against two gathers from its dense
+        # logits; probabilities: the dense A_hat [3, 6, 6], whose gradient is
+        # nonzero once per pair and batch item
+        x = np.random.default_rng(5).normal(size=(3, 6, 4 if logits else 6))
         grads, losses = [], []
         for loss_fn in (loss_spatial, self.two_gather_loss):
             a_hat = Tensor(x if logits else 1.0 / (1.0 + np.exp(-x)), requires_grad=True)
@@ -171,7 +209,8 @@ class TestLossSpatial:
             grads.append(a_hat.grad)
             losses.append(loss.item())
         assert np.array_equal(grads[0], grads[1])
-        assert np.count_nonzero(grads[0]) == 3 * (len(self.MASKED) + len(self.NEGATIVES))
+        if not logits:
+            assert np.count_nonzero(grads[0]) == 3 * (len(self.MASKED) + len(self.NEGATIVES))
         np.testing.assert_allclose(losses[0], losses[1], rtol=1e-15, atol=0)
 
 
@@ -367,9 +406,10 @@ class TestPretrainForwardChain:
     """pretrain_forward against a chain of primitive kernels that shares no
     code with ``graph_gru``: the embedding and patch mask of
     ``reference_embed``, the recurrence of ``reference_encoder``, the full
-    [B, N, N] sigmoid, and gather_flat and tlog of the gathered
-    probabilities. The encoder multiplies A by the raw window and the edge
-    loss takes softplus of the logits, so the two agree to round-off."""
+    [B, N, N] sigmoid of (SW)(SW)^T built with matmul and transpose, and
+    gather_flat and tlog of the gathered probabilities. The encoder
+    multiplies A by the raw window and the edge loss takes softplus of the
+    logits, so the two agree to round-off."""
 
     @staticmethod
     def chain_forward(x_batch, g, state, cfg, plan, negative_edges, mask_graph):
@@ -380,7 +420,8 @@ class TestPretrainForwardChain:
         adjacency = model_adjacency(mask_graph if mask_graph is not None else g, state,
                                     plan.masked_edges)
         s = reference_encoder(x_emb, adjacency, params)
-        a_hat = ad.sigmoid(spatial_decoder(s, params))
+        sw = ad.matmul(s, params["spatial_decoder.w"])
+        a_hat = ad.sigmoid(ad.matmul(sw, ad.transpose(sw, (0, 2, 1))))
         l_a = loss_spatial(a_hat, plan.masked_edges, negative_edges)
         l_x = Tensor(0.0)
         if plan.patch_mask.any():
