@@ -64,23 +64,15 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
 
-def _accumulate(t, g, owned=False):
-    """Add ``g`` into ``t.grad``. ``owned`` says that nothing else holds
-    ``g`` or shares its memory: the kernel allocated it for ``t`` alone, or
-    it is the closure's upstream gradient, which ``backward`` drops after the
-    closure, handed to one parent only."""
+def _accumulate(t, g):
+    """Add ``g`` into ``t.grad``. A first gradient is a fresh array with the
+    bits and layout of zeros_like(t.data) + g, without the zero fill; g + 0.0
+    alone would keep a transposed g's layout, which changes the summation
+    order of a later _unbroadcast. No gradient shares memory with another."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        if owned and g.shape == t.data.shape and g.flags.c_contiguous and t.data.flags.c_contiguous:
-            # handed over: zeros_like(t.data) + g in the same layout, with the
-            # same bits except that a -0.0 of g stays -0.0
-            t.grad = g
-        else:
-            # the bits and memory layout of zeros_like(t.data) + g, without
-            # the zero fill; g + 0.0 alone would keep a transposed g's layout,
-            # which changes the summation order of a later _unbroadcast
-            t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
     else:
         t.grad += g
 
@@ -122,10 +114,9 @@ def add(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape), owned=True)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            # a may hold g itself now
-            _accumulate(b, _unbroadcast(g, b.shape), owned=not a.requires_grad)
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -137,9 +128,9 @@ def sub(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape), owned=True)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.shape), owned=True)
+            _accumulate(b, -_unbroadcast(g, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -151,9 +142,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape), owned=True)
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape), owned=True)
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -163,7 +154,7 @@ def scale(a, c):
     out = Tensor(a.data * c)
 
     def backward(g):
-        _accumulate(a, g * c, owned=True)
+        _accumulate(a, g * c)
 
     return _record(out, (a,), backward)
 
@@ -175,7 +166,7 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
             # a 2-D weight's gradient sums over the input's batch dims; one
             # GEMM over the folded batch replaces a [B, ...] stack and its sum
@@ -183,7 +174,7 @@ def matmul(a, b):
                 gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-            _accumulate(b, gb, owned=True)
+            _accumulate(b, gb)
 
     return _record(out, (a, b), backward)
 
@@ -199,7 +190,7 @@ def sigmoid(a):
     def backward(g):
         dy = g * y
         dy *= 1.0 - y
-        _accumulate(a, dy, owned=True)
+        _accumulate(a, dy)
 
     return _record(out, (a,), backward)
 
@@ -209,7 +200,7 @@ def tanh(a):
     out = Tensor(y)
 
     def backward(g):
-        _accumulate(a, g * (1.0 - y * y), owned=True)
+        _accumulate(a, g * (1.0 - y * y))
 
     return _record(out, (a,), backward)
 
@@ -218,7 +209,7 @@ def relu(a):
     out = Tensor(np.maximum(a.data, 0.0))
 
     def backward(g):
-        _accumulate(a, g * (a.data > 0.0), owned=True)
+        _accumulate(a, g * (a.data > 0.0))
 
     return _record(out, (a,), backward)
 
@@ -234,7 +225,7 @@ def row_softmax(a):
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, y * (g - dot), owned=True)
+        _accumulate(a, y * (g - dot))
 
     return _record(out, (a,), backward)
 
@@ -269,7 +260,7 @@ def take(a, axis, index):
         idx = [slice(None)] * a.data.ndim
         idx[axis] = index
         full[tuple(idx)] = g
-        _accumulate(a, full, owned=True)
+        _accumulate(a, full)
 
     return _record(out, (a,), backward)
 
@@ -284,15 +275,13 @@ def gather_flat(a, indices):
 
     def backward(g):
         full = np.bincount(indices, weights=g, minlength=a.size)
-        _accumulate(a, full.reshape(a.shape), owned=True)
+        _accumulate(a, full.reshape(a.shape))
 
     return _record(out, (a,), backward)
 
 
 # gram_at forms the Gram matrix about this many entries (2 MB of float64) at
-# a time: 6 items of 200 nodes, where the whole [32, N, N] product is 10 MB,
-# and still a whole batch of 16 windows of 20 nodes, whose one chunk makes no
-# numpy call beyond those of gather_flat on the full product.
+# a time: 6 items of 200 nodes, 26 of 100 nodes, a batch of up to 655 of 20.
 _GRAM_CHUNK_ENTRIES = 1 << 18
 
 
@@ -315,13 +304,10 @@ def gram_at(x, indices):
     if indices.ndim != 1 or (indices.size and (indices.min() < 0 or indices.max() >= len(xs) * nn)):
         _shape_fail("gram_at", x.shape, indices.shape)
     per_chunk = max(1, _GRAM_CHUNK_ENTRIES // max(nn, 1))
-    if per_chunk >= len(xs):
-        chunks = [(0, len(xs), slice(None))]
-    else:
-        item = indices // nn
-        chunks = [(lo, min(lo + per_chunk, len(xs)),
-                   np.flatnonzero((item >= lo) & (item < lo + per_chunk)))
-                  for lo in range(0, len(xs), per_chunk)]
+    item = indices // nn
+    chunks = [(lo, min(lo + per_chunk, len(xs)),
+               np.flatnonzero((item >= lo) & (item < lo + per_chunk)))
+              for lo in range(0, len(xs), per_chunk)]
     values = np.empty(len(indices))
     for lo, hi, at in chunks:
         xc = xs[lo:hi]
@@ -337,7 +323,7 @@ def gram_at(x, indices):
             np.matmul(gram, xc, out=dx[lo:hi])
             dx[lo:hi] += np.swapaxes(np.matmul(np.swapaxes(xc, -1, -2), gram), -1, -2)
             del gram  # before the next chunk's is built
-        _accumulate(x, dx.reshape(x.shape), owned=True)
+        _accumulate(x, dx.reshape(x.shape))
 
     return _record(out, (x,), backward)
 
@@ -346,7 +332,7 @@ def tsum(a):
     out = Tensor(a.data.sum())
 
     def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).copy() if a.data.ndim else np.asarray(g), owned=True)
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _record(out, (a,), backward)
 
@@ -356,7 +342,7 @@ def tmean(a):
     out = Tensor(a.data.mean())
 
     def backward(g):
-        _accumulate(a, np.full(a.shape, float(g) / n), owned=True)
+        _accumulate(a, np.full(a.shape, float(g) / n))
 
     return _record(out, (a,), backward)
 
@@ -365,7 +351,7 @@ def tabs(a):
     out = Tensor(np.abs(a.data))
 
     def backward(g):
-        _accumulate(a, g * np.sign(a.data), owned=True)
+        _accumulate(a, g * np.sign(a.data))
 
     return _record(out, (a,), backward)
 
@@ -374,7 +360,7 @@ def tlog(a):
     out = Tensor(np.log(a.data))
 
     def backward(g):
-        _accumulate(a, g / a.data, owned=True)
+        _accumulate(a, g / a.data)
 
     return _record(out, (a,), backward)
 
@@ -391,7 +377,7 @@ def softplus(a):
 
     def backward(g):
         # sigmoid(x) = exp(x - softplus(x)), which cannot overflow
-        _accumulate(a, g * np.exp(a.data - y), owned=True)
+        _accumulate(a, g * np.exp(a.data - y))
 
     return _record(out, (a,), backward)
 
@@ -401,7 +387,7 @@ def transpose(a, axes):
     inv = np.argsort(axes)
 
     def backward(g):
-        _accumulate(a, np.transpose(g, inv), owned=True)
+        _accumulate(a, np.transpose(g, inv))
 
     return _record(out, (a,), backward)
 
@@ -413,7 +399,7 @@ def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
 
     def backward(g):
-        _accumulate(a, g.reshape(a.shape), owned=True)
+        _accumulate(a, g.reshape(a.shape))
 
     return _record(out, (a,), backward)
 
@@ -664,8 +650,8 @@ def graph_gru(lift, m, adjacency, wu, bu, wr, br, wc, bc):
         p = total[d:d + k]
         dw = np.concatenate([m_emb.T @ p, total[:d]])
         if learned:
-            _accumulate(adjacency, sa.sum(axis=0), owned=True)
-        _accumulate(m, p @ w_x.T, owned=True)
+            _accumulate(adjacency, sa.sum(axis=0))
+        _accumulate(m, p @ w_x.T)
         for i, (w, b) in enumerate(gates):
             cols = slice(i * d, (i + 1) * d)
             _accumulate(w, dw[:, cols])
@@ -708,7 +694,7 @@ def backward(loss):
             order.append(node)
             stack.pop()
 
-    _accumulate(loss, np.ones_like(loss.data), owned=True)
+    _accumulate(loss, np.ones_like(loss.data))
     while order:
         node = order.pop()
         if node._backward is not None:

@@ -17,7 +17,7 @@ from maskcast.training import (ConfigError, RunConfig, finetune_step, grid_confi
                                loss_temporal, init_state, pretrain_forward,
                                run_two_stage, sample_mask_plan, sample_negative_edges)
 
-from conftest import random_graph, reference_embed, reference_encoder
+from conftest import force_ranges, random_graph, reference_embed, reference_encoder
 
 
 @pytest.fixture(scope="module")
@@ -467,6 +467,40 @@ class TestPretrainForwardChain:
             np.testing.assert_allclose(new[name], grad, rtol=1e-12,
                                        atol=1e-12 * np.abs(grad).max(), err_msg=name)
         assert any(grad.any() for grad in new.values())
+
+
+class TestPretrainStepGradientMemory:
+    @pytest.mark.parametrize("graph_mode", ["predefined", "adaptive"])
+    def test_no_first_gradient_is_shared(self, monkeypatch, graph_mode):
+        # every gradient _accumulate stores, interior or leaf, is its own
+        # array: none is the array a kernel passed in, and no two leaves'
+        # gradients overlap, also with graph_gru cut into two ranges
+        force_ranges(monkeypatch, 2)
+        g = random_graph(9, 18, seed=4)
+        cfg = RunConfig(history=6, horizon=3, patch_length=2, hidden_dim=4, p_s=0.5,
+                        graph_mode=graph_mode, negative_sampling=True, topk=3,
+                        node_embed_dim=3)
+        state = init_state(cfg, g)
+        mask_graph = mask_sampling_graph(g, state) if graph_mode == "adaptive" else None
+        rngs = {k: stream(cfg.seed, k) for k in ("spatial-mask", "temporal-mask", "negative")}
+        x = np.random.default_rng(8).normal(size=(4, 6, 9, 1))
+        calls = []
+        accumulate = ad._accumulate
+
+        def spy(t, grad):
+            first = t.grad is None
+            accumulate(t, grad)
+            calls.append((first, np.shares_memory(t.grad, grad)))
+
+        monkeypatch.setattr(ad, "_accumulate", spy)
+        *_, plan = training.pretrain_step(x, g, state, cfg, Adam(state.params, lr=cfg.lr),
+                                          rngs, mask_graph=mask_graph)
+        assert plan.masked_edges and plan.patch_mask.any()
+        assert any(first for first, _ in calls)
+        assert not any(shared for _, shared in calls)
+        grads = [t.grad for _, t in state.params.items()]
+        for i, grad in enumerate(grads):
+            assert not any(np.shares_memory(grad, other) for other in grads[i + 1:])
 
 
 # forecast never reads these, so fine-tuning's zero gradient leaves them as they were
